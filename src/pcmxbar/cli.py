@@ -176,7 +176,7 @@ def cmd_learn(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    paths = sweep_figures(
+    paths, _ = sweep_figures(
         cfg.out,
         params=cfg.device,
         network=cfg.network,

@@ -24,6 +24,8 @@ from .errors import ParameterError
 __all__ = [
     "ArrayGeometry",
     "CrossbarState",
+    "build_draws",
+    "as_built_resistance",
     "build_array",
     "apply_update_phase",
     "read_recall_currents",
@@ -75,6 +77,28 @@ class CrossbarState:
         return wordline - 1, bitline - 1
 
 
+def build_draws(seed: int, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The build stream's normal draws for one array: device block, then cycle block.
+
+    They depend only on ``seed`` and ``shape``, never on the variation level,
+    so one pair serves the same seed's array at every cv.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    return rng.standard_normal(shape), rng.standard_normal(shape)
+
+
+def as_built_resistance(params: DeviceParams, sigma_device, sigma_cycle, z_dev, z_cyc):
+    """Device factors and the clamped as-built RESET map from the build draws.
+
+    Elementwise, so draws stacked on a leading seed axis give every array
+    the values ``build_array`` gives it alone.
+    """
+    factor = np.exp(sigma_device * z_dev)
+    resistance = params.r_reset_median * factor * np.exp(sigma_cycle * z_cyc)
+    np.maximum(resistance, params.r_set_floor, out=resistance)
+    return factor, resistance
+
+
 def build_array(
     geometry: ArrayGeometry,
     params: DeviceParams,
@@ -87,13 +111,11 @@ def build_array(
     exactly two rows*cols blocks of normal draws: device factors first, then
     the cycle draws, both in row-major cell order.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     shape = (geometry.rows, geometry.cols)
-    z_dev = rng.standard_normal(shape)
-    z_cyc = rng.standard_normal(shape)
-    factor = np.exp(variation.sigma_device * z_dev)
-    resistance = params.r_reset_median * factor * np.exp(variation.sigma_cycle * z_cyc)
-    np.maximum(resistance, params.r_set_floor, out=resistance)
+    z_dev, z_cyc = build_draws(seed, shape)
+    factor, resistance = as_built_resistance(
+        params, variation.sigma_device, variation.sigma_cycle, z_dev, z_cyc
+    )
     return CrossbarState(
         geometry=geometry,
         params=params,

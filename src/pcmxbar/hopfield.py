@@ -19,7 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crossbar import CrossbarState, apply_update_phase, read_recall_currents, resistance_map
+from .crossbar import (
+    ArrayGeometry,
+    CrossbarState,
+    apply_update_phase,
+    as_built_resistance,
+    build_draws,
+    read_recall_currents,
+    resistance_map,
+)
+from .device import DeviceParams, VariationSpec, decay_log_steps
 from .errors import ParameterError, ProtocolError
 
 __all__ = [
@@ -34,6 +43,8 @@ __all__ = [
     "compute_threshold",
     "train_epoch",
     "run_learning",
+    "CohortOutcome",
+    "run_cohort",
     "run_two_pattern_protocol",
     "recall_only",
 ]
@@ -103,37 +114,40 @@ class NetworkConfig:
             raise ParameterError("read_duration must be positive")
 
 
-def compute_threshold(initial_resistance: np.ndarray, config: NetworkConfig) -> float:
-    """Firing threshold from the as-built resistance map.
+def compute_threshold(initial_resistance: np.ndarray, config: NetworkConfig):
+    """Firing threshold from the as-built resistance map, or from a stack of them.
 
     For every bitline, take the ``recall_on_count`` largest conductances among
     the other wordlines (a neuron never cues itself); the worst column times
     the read bias is the largest current any cue could push through fully
     unprogrammed cells. The threshold is ``c_factor`` times that.
 
-    Selected conductances accumulate in ascending wordline order, so the
-    result is bit-identical to an exhaustive subset search that sums the same
-    way.
+    ``initial_resistance`` is one ``(n, n)`` map, which returns a Python
+    float, or a stack ``(..., n, n)``, which returns an array of the leading
+    shape. Ties among conductances pick the lower wordline, and the selected
+    conductances accumulate in ascending wordline order, so the result is
+    bit-identical to an exhaustive subset search that sums the same way.
     """
     R = np.asarray(initial_resistance, dtype=float)
-    if R.ndim != 2 or R.shape[0] != R.shape[1]:
-        raise ParameterError(f"initial resistance map must be square, got {R.shape}")
-    n = R.shape[0]
+    if R.ndim < 2 or R.shape[-2] != R.shape[-1]:
+        raise ParameterError(f"initial resistance map must be square, got {R.shape[-2:]}")
+    n = R.shape[-1]
     k = config.recall_on_count
     if k > n - 1:
         raise ParameterError(
             f"recall_on_count {k} needs at least {k + 1} neurons, map has {n}"
         )
-    best = -np.inf
-    for col in range(n):
-        rows = [r for r in range(n) if r != col]
-        g = [1.0 / float(R[r, col]) for r in rows]
-        top = sorted(range(len(rows)), key=g.__getitem__, reverse=True)[:k]
-        s = 0.0
-        for i in sorted(top):
-            s += g[i]
-        best = max(best, s)
-    return config.c_factor * config.v_read * best
+    g = 1.0 / R
+    diagonal = np.arange(n)
+    g[..., diagonal, diagonal] = -np.inf  # a neuron's own wordline sorts last
+    top = np.argsort(-g, axis=-2, kind="stable")[..., :k, :]
+    top.sort(axis=-2)
+    picked = np.take_along_axis(g, top, axis=-2)
+    column = picked[..., 0, :]
+    for i in range(1, k):
+        column = column + picked[..., i, :]
+    threshold = config.c_factor * config.v_read * column.max(axis=-1)
+    return float(threshold) if R.ndim == 2 else threshold
 
 
 @dataclass
@@ -201,9 +215,9 @@ class LearningTrace:
         }
 
 
-def _check_patterns(array: CrossbarState, pattern: Pattern, partial: Pattern, config):
-    n = array.geometry.rows
-    if array.geometry.cols != n:
+def _check_patterns(geometry: ArrayGeometry, pattern: Pattern, partial: Pattern, config):
+    n = geometry.rows
+    if geometry.cols != n:
         raise ProtocolError("recurrent network needs a square array")
     if pattern.n != n or partial.n != n:
         raise ProtocolError(
@@ -240,7 +254,7 @@ def train_epoch(
     threshold, never at equality. The membrane has no memory between epochs;
     each recall is a fresh read.
     """
-    _check_patterns(array, pattern, partial, config)
+    _check_patterns(array.geometry, pattern, partial, config)
     cells, program_energy = apply_update_phase(array, pattern.on, rng)
     currents = read_recall_currents(array, partial.on, config.v_read)
     fired = frozenset(b for b, i in currents.items() if i > threshold)
@@ -298,7 +312,11 @@ def run_learning(
         if result.recalled and not continue_after_recall:
             break
     count = sum(ep.program_event_count for ep in epochs)
-    read_energy = sum(ep.read_energy for ep in epochs)
+    # explicit left-to-right float sum: from Python 3.12 on, sum() compensates
+    # float rounding and would move the last bits; run_cohort adds in this order
+    read_energy = 0.0
+    for ep in epochs:
+        read_energy += ep.read_energy
     program_energy = count * array.params.e_prog  # exact count * e_prog identity
     return LearningTrace(
         pattern=pattern,
@@ -315,6 +333,119 @@ def run_learning(
         program_energy=program_energy,
         read_energy=read_energy,
         total_energy=program_energy + read_energy,
+    )
+
+
+@dataclass(frozen=True)
+class CohortOutcome:
+    """Outcomes of a cohort of runs: row i is ``cvs[i]``, column j is ``seeds[j]``.
+
+    ``epochs`` counts the epochs trained: the recall epoch for a converged
+    run, ``max_epochs`` for one that never recalled. The energies are the
+    ``read_energy`` and ``total_energy`` of the run's ``LearningTrace``.
+    """
+
+    cvs: tuple[float, ...]
+    seeds: tuple[int, ...]
+    epochs: np.ndarray
+    converged: np.ndarray
+    read_energy: np.ndarray
+    total_energy: np.ndarray
+
+
+def run_cohort(
+    cvs,
+    seeds,
+    params: DeviceParams,
+    config: NetworkConfig,
+    *,
+    device_share: float = 0.8,
+    geometry: ArrayGeometry | None = None,
+    pattern: Pattern = PATTERN_ONE,
+    missing_pixel: int = MISSING_PIXEL_ONE,
+) -> CohortOutcome:
+    """Early-stop single-pattern runs on fresh arrays, every (cv, seed) pair at once.
+
+    Each pair gives the outcome of ``run_learning`` on ``build_array(geometry,
+    params, VariationSpec(cv, device_share), seed)`` with the training stream
+    ``SeedSequence((seed, 1))``, bit for bit, but records no per-epoch trace.
+    A seed's build draws do not depend on the cv, and its epoch-k training
+    child depends only on the seed and k, so each seed draws once for all
+    cvs: one root per seed spawns its child while any of its cvs still
+    trains. Every epoch updates, reads and threshold-tests all active arrays
+    in one stack of shape ``(runs, rows, cols)``, with the scalar path's
+    elementwise operations in the scalar path's order. Repeated seeds are
+    simulated once. Bad patterns raise the same errors as ``run_learning``.
+    """
+    geometry = geometry or ArrayGeometry()
+    variations = [VariationSpec(cv=float(cv), device_share=device_share) for cv in cvs]
+    seeds = tuple(int(s) for s in seeds)
+    if missing_pixel not in pattern.on:
+        raise ProtocolError(f"missing pixel {missing_pixel} is not part of the pattern")
+    partial = Pattern.from_on(pattern.on - {missing_pixel}, pattern.n)
+
+    unique = sorted(set(seeds))
+    shape = (geometry.rows, geometry.cols)
+    z_dev, z_cyc = np.empty((2, len(unique), *shape))
+    for u, seed in enumerate(unique):
+        z_dev[u], z_cyc[u] = build_draws(seed, shape)
+    # run r is cv r // len(unique) on seed unique[r % len(unique)]
+    resistance = np.empty((len(variations) * len(unique), *shape))
+    thresholds = np.empty(len(resistance))
+    for i, v in enumerate(variations):
+        rows = slice(i * len(unique), (i + 1) * len(unique))
+        resistance[rows] = as_built_resistance(
+            params, v.sigma_device, v.sigma_cycle, z_dev, z_cyc
+        )[1]
+        thresholds[rows] = compute_threshold(resistance[rows], config)
+    del z_dev, z_cyc
+    _check_patterns(geometry, pattern, partial, config)
+
+    on = np.array(sorted(pattern.on), dtype=np.intp) - 1
+    cue = sorted(partial.on)
+    sensed = [b for b in range(1, geometry.cols + 1) if b not in cue]
+    read_block = (np.array(cue, dtype=np.intp) - 1, np.array(sensed, dtype=np.intp) - 1)
+    missing = sensed.index(missing_pixel)
+    read_cost = config.v_read**2 * config.read_duration
+    roots = [np.random.SeedSequence((seed, 1)) for seed in unique]
+
+    epochs = np.zeros(len(resistance), dtype=np.int64)
+    converged = np.zeros(len(resistance), dtype=bool)
+    read_energy = np.zeros(len(resistance))
+    active = np.arange(len(resistance))
+    for epoch in range(1, config.max_epochs + 1):
+        if not active.size:
+            break
+        # one child per seed still training; Generator(PCG64(.)) is what
+        # Generator.spawn builds from the spawned SeedSequence
+        seed_index = active % len(unique)
+        live = np.unique(seed_index)
+        children = [np.random.Generator(np.random.PCG64(roots[u].spawn(1)[0])) for u in live]
+        z = np.array([child.standard_normal(on.size**2) for child in children])
+        # on a fresh array every stored cell has taken epoch - 1 pulses
+        gain = np.exp(-decay_log_steps(params, epoch - 1) + params.sigma_c2c * z)
+        gain = gain[np.searchsorted(live, seed_index)].reshape(-1, on.size, on.size)
+        block = np.ix_(active, on, on)
+        resistance[block] = np.maximum(params.r_set_floor, resistance[block] * gain)
+
+        # each run's block sums like the scalar (cue, sensed) block: one flat reduce
+        g = 1.0 / resistance[np.ix_(active, *read_block)]
+        read_energy[active] += read_cost * g.reshape(len(active), -1).sum(axis=1)
+        recalled = config.v_read * g.sum(axis=1)[:, missing] > thresholds[active]
+        epochs[active] = epoch
+        converged[active] = recalled
+        active = active[~recalled]
+
+    total_energy = (on.size**2 * epochs) * params.e_prog + read_energy
+    columns = np.searchsorted(unique, seeds)
+    grid = (len(variations), len(unique))
+    return CohortOutcome(
+        cvs=tuple(v.cv for v in variations),
+        seeds=seeds,
+        epochs=epochs.reshape(grid)[:, columns],
+        converged=converged.reshape(grid)[:, columns],
+        read_energy=read_energy.reshape(grid)[:, columns],
+        total_energy=total_energy.reshape(grid)[:, columns],
     )
 
 

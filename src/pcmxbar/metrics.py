@@ -20,8 +20,10 @@ from .errors import ParameterError, ProtocolError
 from .hopfield import (
     MISSING_PIXEL_ONE,
     PATTERN_ONE,
+    CohortOutcome,
     NetworkConfig,
     Pattern,
+    run_cohort,
     run_learning,
 )
 
@@ -31,6 +33,7 @@ __all__ = [
     "DEFAULT_PERTURBATION_GRID",
     "read_voltage_sensitivity",
     "variation_sweep",
+    "sweep_rows",
     "write_sweep_csv",
     "write_sensitivity_json",
     "SWEEP_COLUMNS",
@@ -201,34 +204,44 @@ def variation_sweep(
     """Median epochs and energy per variation level, widest distribution first.
 
     ``seeds`` is either a count (runs seeds 0..n-1) or an explicit iterable.
-    Medians are taken over converged runs; non-converged ones are counted
-    separately, never silently dropped.
+    Every (cv, seed) run goes through the batched ``run_cohort`` engine,
+    which matches ``run_learning`` bit for bit; ``sweep_rows`` turns its
+    outcomes into the table.
     """
     seed_list = list(range(seeds)) if isinstance(seeds, int) else [int(s) for s in seeds]
     if not seed_list:
         raise ParameterError("sweep needs at least one seed")
+    cohort = run_cohort(
+        sorted(set(float(c) for c in cvs), reverse=True),
+        seed_list,
+        params,
+        network,
+        device_share=device_share,
+        geometry=geometry,
+        pattern=pattern,
+        missing_pixel=missing_pixel,
+    )
+    return sweep_rows(cohort)
+
+
+def sweep_rows(cohort: CohortOutcome) -> list[dict]:
+    """One table row per cv of the cohort, in the cohort's cv order.
+
+    Medians are taken over converged runs; non-converged ones are counted
+    separately, never silently dropped.
+    """
     rows = []
-    for cv in sorted(set(float(c) for c in cvs), reverse=True):
-        variation = VariationSpec(cv=cv, device_share=device_share)
-        epochs, energies, nonconverged = [], [], 0
-        for seed in seed_list:
-            arr = build_array(geometry or ArrayGeometry(), params, variation, seed)
-            rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-            trace = run_learning(
-                arr, pattern, missing_pixel, network, rng, record_maps=False
-            )
-            if trace.converged:
-                epochs.append(trace.epochs_to_recall)
-                energies.append(trace.total_energy)
-            else:
-                nonconverged += 1
+    for cv, epochs, converged, energies in zip(
+        cohort.cvs, cohort.epochs, cohort.converged, cohort.total_energy
+    ):
+        done = converged.any()
         rows.append(
             {
                 "cv": cv,
-                "median_epochs": float(np.median(epochs)) if epochs else None,
-                "median_energy_joules": float(np.median(energies)) if energies else None,
-                "n_seeds": len(seed_list),
-                "n_nonconverged": nonconverged,
+                "median_epochs": float(np.median(epochs[converged])) if done else None,
+                "median_energy_joules": float(np.median(energies[converged])) if done else None,
+                "n_seeds": len(cohort.seeds),
+                "n_nonconverged": int((~converged).sum()),
             }
         )
     return rows

@@ -6,19 +6,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcmxbar.crossbar import ArrayGeometry, build_array, resistance_map
 from pcmxbar.device import DeviceParams, VariationSpec
-from pcmxbar.errors import ParameterError, ProtocolError
+from pcmxbar.errors import ParameterError, PcmxbarError, ProtocolError
+from pcmxbar.harness import CALIBRATED_DECAY_SCHEDULE
 from pcmxbar.hopfield import (
+    MISSING_PIXEL_ONE,
+    MISSING_PIXEL_TWO,
     PATTERN_ONE,
     PATTERN_TWO,
     NetworkConfig,
     Pattern,
     compute_threshold,
     recall_only,
+    run_cohort,
     run_learning,
     run_two_pattern_protocol,
     train_epoch,
@@ -311,3 +315,102 @@ def test_trace_serializes_to_json():
     assert back["threshold_amps"] == pytest.approx(2.6667e-7, rel=1e-4)
     assert len(back["epochs"]) == 2
     assert back["epochs"][0]["recall_currents_amps"]["6"] > 0
+
+
+# ---------------------------------------------------------------------------
+# batched cohort engine against the scalar path
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seeds=st.lists(st.integers(min_value=0, max_value=2**20), min_size=1, max_size=5),
+    cvs=st.lists(
+        st.sampled_from((0.0, 0.09, 0.24, 0.40, 0.60))
+        | st.floats(min_value=0.0, max_value=1.5, allow_nan=False),
+        min_size=1,
+        max_size=3,
+    ),
+    max_epochs=st.integers(min_value=1, max_value=30),
+    c_factor=st.floats(min_value=1.0, max_value=3.0, allow_nan=False),
+    sigma_c2c=st.sampled_from((0.0, 0.03, 0.1, 0.3)),
+    device_share=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    schedule=st.sampled_from((None, CALIBRATED_DECAY_SCHEDULE)),
+    stored=st.sampled_from(((PATTERN_ONE, MISSING_PIXEL_ONE), (PATTERN_TWO, MISSING_PIXEL_TWO))),
+)
+@example(  # repeated seeds, zero spread, and runs that stop unconverged at the budget
+    seeds=[4, 0, 4],
+    cvs=[0.60, 0.0, 0.60],
+    max_epochs=3,
+    c_factor=2.0,
+    sigma_c2c=0.03,
+    device_share=0.8,
+    schedule=CALIBRATED_DECAY_SCHEDULE,
+    stored=(PATTERN_ONE, MISSING_PIXEL_ONE),
+)
+def test_run_cohort_matches_run_learning(
+    seeds, cvs, max_epochs, c_factor, sigma_c2c, device_share, schedule, stored
+):
+    pattern, missing = stored
+    params = DeviceParams(sigma_c2c=sigma_c2c, decay_schedule=schedule)
+    cfg = NetworkConfig(c_factor=c_factor, max_epochs=max_epochs)
+    cohort = run_cohort(
+        cvs, seeds, params, cfg, device_share=device_share, pattern=pattern, missing_pixel=missing
+    )
+    assert cohort.cvs == tuple(cvs)
+    assert cohort.seeds == tuple(seeds)
+    maps, thresholds = [], []
+    for i, cv in enumerate(cvs):
+        for j, seed in enumerate(seeds):
+            arr = build_array(ArrayGeometry(), params, VariationSpec(cv, device_share), seed)
+            trace = run_learning(arr, pattern, missing, cfg, training_rng(seed), record_maps=False)
+            assert cohort.converged[i, j] == trace.converged
+            assert cohort.epochs[i, j] == len(trace.epochs)
+            if trace.converged:
+                assert cohort.epochs[i, j] == trace.epochs_to_recall
+            assert cohort.read_energy[i, j] == trace.read_energy
+            assert cohort.total_energy[i, j] == trace.total_energy
+            maps.append(arr.initial_resistance)
+            thresholds.append(trace.threshold)
+    assert compute_threshold(np.array(maps), cfg).tolist() == thresholds
+
+
+def test_threshold_stack_shape_and_type():
+    cfg = NetworkConfig()
+    R = np.random.default_rng(3).lognormal(math.log(3.0e6), 0.5, size=(2, 3, 10, 10))
+    stacked = compute_threshold(R, cfg)
+    assert stacked.shape == (2, 3)
+    assert type(compute_threshold(R[1, 2], cfg)) is float
+    assert stacked[1, 2] == compute_threshold(R[1, 2], cfg)
+    with pytest.raises(ParameterError):
+        compute_threshold(np.full((2, 4, 5), 3.0e6), cfg)
+
+
+def _failure(call):
+    try:
+        call()
+    except PcmxbarError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "geometry, pattern, missing, cfg",
+    [
+        (ArrayGeometry(), PATTERN_ONE, 5, NetworkConfig()),  # not a stored pixel
+        (ArrayGeometry(), Pattern.from_on({1, 2, 3, 4, 6}, 8), 6, NetworkConfig()),  # size
+        (ArrayGeometry(), PATTERN_ONE, 6, NetworkConfig(recall_on_count=3)),  # cue size
+        (ArrayGeometry(10, 12), PATTERN_ONE, 6, NetworkConfig()),  # not square
+        (ArrayGeometry(4, 4), Pattern.from_on({1, 2, 3}, 4), 3, NetworkConfig()),  # k > n-1
+    ],
+)
+def test_run_cohort_rejects_what_run_learning_rejects(geometry, pattern, missing, cfg):
+    params = DeviceParams()
+    arr = build_array(geometry, params, VariationSpec(cv=0.24), 1)
+    scalar = _failure(lambda: run_learning(arr, pattern, missing, cfg, training_rng(1)))
+    batched = _failure(
+        lambda: run_cohort(
+            (0.24,), (1,), params, cfg, geometry=geometry, pattern=pattern, missing_pixel=missing
+        )
+    )
+    assert scalar is not None
+    assert batched == scalar

@@ -2,10 +2,12 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pcmxbar.config import default_run_config
 from pcmxbar.crossbar import ArrayGeometry, build_array
 from pcmxbar.device import DeviceParams, VariationSpec
 from pcmxbar.errors import ProtocolError
@@ -201,6 +203,24 @@ def test_variation_sweep_rows():
 def test_variation_sweep_deterministic():
     kw = dict(seeds=4, params=CAL_PARAMS, network=NetworkConfig())
     assert variation_sweep((0.24,), **kw) == variation_sweep((0.24,), **kw)
+
+
+def test_readme_sweep_table_matches_quick_start_sweep():
+    # the README table is what `pcmxbar sweep` writes with the default config
+    cfg = default_run_config()
+    rows = variation_sweep(
+        cfg.cvs,
+        range(cfg.seed, cfg.seed + cfg.sweep_seeds),
+        cfg.device,
+        cfg.network,
+        device_share=cfg.device_share,
+    )
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("cv      median epochs   median energy\n", 1)[1].split("```", 1)[0]
+    assert table == "".join(
+        f"{r['cv']:.2f}{r['median_epochs']:10.1f}{r['median_energy_joules'] * 1e9:14.2f} nJ\n"
+        for r in rows
+    )
 
 
 def test_sweep_csv_golden_header(tmp_path):
