@@ -8,10 +8,8 @@ threshold.
 
 import argparse
 
-import numpy as np
-
+from pcmxbar.calibrated import calibrated_device_params, calibrated_variation, training_stream
 from pcmxbar.crossbar import ArrayGeometry, build_array
-from pcmxbar.harness import calibrated_device_params, calibrated_variation, training_stream
 from pcmxbar.hopfield import (
     MISSING_PIXEL_ONE,
     PATTERN_ONE,
@@ -30,7 +28,7 @@ args = parser.parse_args()
 params = calibrated_device_params()
 network = NetworkConfig()
 arr = build_array(ArrayGeometry(), params, calibrated_variation(args.cv), args.seed)
-rng = np.random.default_rng(training_stream(args.seed))
+rng = training_stream(args.seed)
 
 threshold = compute_threshold(arr.initial_resistance, network)
 print(f"pattern on-pixels {sorted(PATTERN_ONE.on)}, cue misses pixel {MISSING_PIXEL_ONE}")

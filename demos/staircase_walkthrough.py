@@ -8,9 +8,9 @@ one is not.
 
 import numpy as np
 
+from pcmxbar.calibrated import calibrated_device_params
 from pcmxbar.device import CellState, DeviceParams, apply_gradual_set, apply_full_reset
 from pcmxbar.device import VariationSpec
-from pcmxbar.harness import calibrated_device_params
 
 nominal = DeviceParams(sigma_c2c=0.0)
 

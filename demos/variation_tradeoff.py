@@ -9,11 +9,7 @@ above it, so a small bias drift moves their recall epoch.
 
 import numpy as np
 
-from pcmxbar.harness import (
-    VARIATION_LEVELS,
-    calibrated_device_params,
-    calibrated_variation,
-)
+from pcmxbar.calibrated import VARIATION_LEVELS, calibrated_device_params, calibrated_variation
 from pcmxbar.hopfield import NetworkConfig
 from pcmxbar.metrics import read_voltage_sensitivity, variation_sweep
 

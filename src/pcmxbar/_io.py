@@ -37,6 +37,13 @@ def write_csv(path, header, rows, provenance=None, float_fmt: str = "%.10g") -> 
     _write_text(path, "\n".join(lines) + "\n")
 
 
+def write_map_csv(path, matrix, provenance=None) -> None:
+    """Write a resistance map: one row per wordline, 6 significant digits."""
+    header = ["wordline"] + [f"bitline_{b}" for b in range(1, matrix.shape[1] + 1)]
+    rows = [[w, *row] for w, row in enumerate(matrix, start=1)]
+    write_csv(path, header, rows, provenance=provenance, float_fmt="%.6g")
+
+
 def write_json(path, obj, provenance=None) -> None:
     if provenance:
         obj = {"provenance": dict(provenance), **obj}

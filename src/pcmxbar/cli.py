@@ -20,7 +20,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from ._io import ensure_out_dir, write_csv, write_json
+from ._io import ensure_out_dir, write_json, write_map_csv
+from .calibrated import training_stream
 from .config import (
     RunConfig,
     apply_config_file,
@@ -35,7 +36,6 @@ from .harness import (
     characterize_device,
     params_fingerprint,
     sweep_figures,
-    training_stream,
 )
 from .hopfield import run_two_pattern_protocol
 
@@ -152,17 +152,12 @@ def cmd_learn(cfg: RunConfig) -> int:
         write_json(path, trace.to_dict(), provenance=prov)
         _say(cfg, f"wrote {path}")
 
-    header = ["wordline"] + [f"bitline_{b}" for b in range(1, 11)]
     maps = first.normalized_maps + second.normalized_maps[1:]
     for k, m in enumerate(maps):
-        path = out / f"map_epoch{k:02d}.csv"
-        rows = [[w + 1, *m[w]] for w in range(m.shape[0])]
-        write_csv(path, header, rows, provenance={**prov, "epoch": k}, float_fmt="%.6g")
+        write_map_csv(out / f"map_epoch{k:02d}.csv", m, provenance={**prov, "epoch": k})
     _say(cfg, f"wrote {len(maps)} map_epochNN.csv files")
-    final = resistance_map(arr, normalized=False)
     path = out / "map_final.csv"
-    write_csv(path, header, [[w + 1, *final[w]] for w in range(10)],
-              provenance=prov, float_fmt="%.6g")
+    write_map_csv(path, resistance_map(arr, normalized=False), provenance=prov)
     _say(cfg, f"wrote {path}")
 
     ok = True

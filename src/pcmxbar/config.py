@@ -18,13 +18,9 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
+from .calibrated import CALIBRATED_DEVICE_SHARE, VARIATION_LEVELS, calibrated_device_params
 from .device import DeviceParams, VariationSpec
 from .errors import ConfigError
-from .harness import (
-    CALIBRATED_DEVICE_SHARE,
-    VARIATION_LEVELS,
-    calibrated_device_params,
-)
 from .hopfield import NetworkConfig
 
 __all__ = [
@@ -62,14 +58,6 @@ def default_run_config() -> RunConfig:
     return RunConfig(device=calibrated_device_params(), network=NetworkConfig())
 
 
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -90,40 +78,40 @@ def _parse_cvs(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
 
 
-# section -> key -> (parser, target)
-# target "device.X" / "network.X" rebuilds that dataclass; "run.X" sets a field
+# section -> key -> parser; a [device] or [network] key rebuilds that
+# dataclass, any other key sets the RunConfig field of the same name
 _SCHEMA = {
     "device": {
-        "r_reset_median": _parse_float,
-        "r_set_floor": _parse_float,
-        "gradual_levels": _parse_int,
-        "sigma_c2c": _parse_float,
-        "e_prog": _parse_float,
-        "e_reset": _parse_float,
-        "pcm_energy_fraction": _parse_float,
-        "v_read_default": _parse_float,
+        "r_reset_median": float,
+        "r_set_floor": float,
+        "gradual_levels": int,
+        "sigma_c2c": float,
+        "e_prog": float,
+        "e_reset": float,
+        "pcm_energy_fraction": float,
+        "v_read_default": float,
         "decay_schedule": _parse_schedule,
     },
     "variation": {
-        "cv": _parse_float,
+        "cv": float,
         "cvs": _parse_cvs,
-        "device_share": _parse_float,
+        "device_share": float,
     },
     "network": {
-        "c_factor": _parse_float,
-        "v_read": _parse_float,
-        "recall_on_count": _parse_int,
-        "max_epochs": _parse_int,
-        "read_duration": _parse_float,
+        "c_factor": float,
+        "v_read": float,
+        "recall_on_count": int,
+        "max_epochs": int,
+        "read_duration": float,
     },
     "run": {
-        "seed": _parse_int,
+        "seed": int,
         "out": Path,
         "quiet": _parse_bool,
-        "cycles": _parse_int,
-        "sweep_seeds": _parse_int,
-        "calib_seeds": _parse_int,
-        "trajectory_epochs": _parse_int,
+        "cycles": int,
+        "sweep_seeds": int,
+        "calib_seeds": int,
+        "trajectory_epochs": int,
     },
 }
 
@@ -140,12 +128,8 @@ def _apply_setting(cfg: RunConfig, section: str, key: str, raw: str, origin: str
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad value for {section}.{key} in {origin}: {exc}") from exc
     try:
-        if section == "device":
-            cfg.device = dataclasses.replace(cfg.device, **{key: value})
-        elif section == "network":
-            cfg.network = dataclasses.replace(cfg.network, **{key: value})
-        elif section == "variation":
-            setattr(cfg, key, value)
+        if section in ("device", "network"):
+            setattr(cfg, section, dataclasses.replace(getattr(cfg, section), **{key: value}))
         else:
             setattr(cfg, key, value)
     except Exception as exc:

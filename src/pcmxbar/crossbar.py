@@ -2,8 +2,6 @@
 
 State lives in dense numpy arrays (one entry per cell) rather than objects,
 which keeps the 25-cell update phase and the column-sum reads vectorized.
-``CrossbarState.cell`` reconstructs a single-cell snapshot when object-level
-inspection is handier.
 
 Indexing convention: wordlines and bitlines are 1-based in every public
 signature, matching how the neurons are numbered. Array storage is 0-based
@@ -17,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import device
-from ._io import write_csv
-from .device import CellState, DeviceParams, VariationSpec
+from .calibrated import build_stream
+from .device import DeviceParams, VariationSpec
 from .errors import ParameterError
 
 __all__ = [
@@ -30,7 +28,6 @@ __all__ = [
     "apply_update_phase",
     "read_recall_currents",
     "resistance_map",
-    "export_resistance_map",
 ]
 
 
@@ -57,25 +54,6 @@ class CrossbarState:
     initial_resistance: np.ndarray = field(repr=False)
     pulses_applied: np.ndarray = field(repr=False)
 
-    def cell(self, wordline: int, bitline: int) -> CellState:
-        """Snapshot of one cell (1-based indices). Mutations do not write back."""
-        w, b = self._index(wordline, bitline)
-        return CellState(
-            resistance=float(self.resistance[w, b]),
-            device_factor=float(self.device_factor[w, b]),
-            initial_reset_resistance=float(self.initial_resistance[w, b]),
-            pulses_applied=int(self.pulses_applied[w, b]),
-        )
-
-    def _index(self, wordline: int, bitline: int) -> tuple[int, int]:
-        if not 1 <= wordline <= self.geometry.rows:
-            raise ParameterError(
-                f"wordline {wordline} outside 1..{self.geometry.rows}"
-            )
-        if not 1 <= bitline <= self.geometry.cols:
-            raise ParameterError(f"bitline {bitline} outside 1..{self.geometry.cols}")
-        return wordline - 1, bitline - 1
-
 
 def build_draws(seed: int, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """The build stream's normal draws for one array: device block, then cycle block.
@@ -83,7 +61,7 @@ def build_draws(seed: int, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarr
     They depend only on ``seed`` and ``shape``, never on the variation level,
     so one pair serves the same seed's array at every cv.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    rng = build_stream(seed)
     return rng.standard_normal(shape), rng.standard_normal(shape)
 
 
@@ -107,9 +85,9 @@ def build_array(
 ) -> CrossbarState:
     """RESET every cell once and freeze those values as the initial map.
 
-    Uses the dedicated build stream ``SeedSequence((seed, 0))`` and consumes
-    exactly two rows*cols blocks of normal draws: device factors first, then
-    the cycle draws, both in row-major cell order.
+    Uses the dedicated build stream of ``seed`` and consumes exactly two
+    rows*cols blocks of normal draws: device factors first, then the cycle
+    draws, both in row-major cell order.
     """
     shape = (geometry.rows, geometry.cols)
     z_dev, z_cyc = build_draws(seed, shape)
@@ -191,13 +169,3 @@ def resistance_map(array: CrossbarState, normalized: bool = True) -> np.ndarray:
     if normalized:
         return array.resistance / array.initial_resistance
     return array.resistance.copy()
-
-
-def export_resistance_map(
-    array: CrossbarState, path, normalized: bool = True, provenance: dict | None = None
-) -> None:
-    """Write the map as CSV, one row per wordline, 6 significant digits."""
-    m = resistance_map(array, normalized=normalized)
-    header = ["wordline"] + [f"bitline_{b}" for b in range(1, array.geometry.cols + 1)]
-    rows = [[w + 1, *m[w]] for w in range(array.geometry.rows)]
-    write_csv(path, header, rows, provenance=provenance, float_fmt="%.6g")

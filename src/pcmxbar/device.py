@@ -27,10 +27,6 @@ __all__ = [
     "SET_PULSE",
     "RESET_PULSE",
     "GRADUAL_SET_PULSE",
-    "WORDLINE_SELECT_VOLTAGE",
-    "THRESHOLD_SWITCHING_VOLTAGE",
-    "RECALL_TIME_WINDOW",
-    "pulse_regime",
     "lognormal_sigma",
     "VariationSpec",
     "DeviceParams",
@@ -43,7 +39,6 @@ __all__ = [
     "apply_full_set",
     "apply_full_reset",
     "read_current",
-    "split_energy",
 ]
 
 
@@ -69,30 +64,6 @@ SET_PULSE = Pulse(amplitude_v=1.0, rise_s=50e-9, width_s=300e-9, fall_s=1e-6)
 RESET_PULSE = Pulse(amplitude_v=1.5, rise_s=5e-9, width_s=50e-9, fall_s=5e-9)
 GRADUAL_SET_PULSE = Pulse(amplitude_v=0.85, rise_s=50e-9, width_s=300e-9, fall_s=1e-6)
 
-WORDLINE_SELECT_VOLTAGE = 3.3
-# amorphous dome switches conductive above roughly this bias; reads stay below
-THRESHOLD_SWITCHING_VOLTAGE = 0.8
-RECALL_TIME_WINDOW = 100e-6
-
-
-def pulse_regime(amplitude_v: float) -> str:
-    """Classify a pulse amplitude into read / gradual_set / set / reset.
-
-    The bands mirror how the array is driven: reads stay at or below 0.1 V,
-    partial crystallization sits around 0.85 V, a full SET at 1.0 V, and
-    anything from 1.5 V up melts the dome. Amplitudes between the bands do
-    nothing useful and are rejected.
-    """
-    if 0.0 <= amplitude_v <= 0.1:
-        return "read"
-    if 0.75 <= amplitude_v <= 0.95:
-        return "gradual_set"
-    if 0.95 < amplitude_v < 1.5:
-        return "set"
-    if amplitude_v >= 1.5:
-        return "reset"
-    raise ParameterError(f"amplitude {amplitude_v} V sits outside every programming band")
-
 
 def lognormal_sigma(cv: float) -> float:
     """Log-space sigma giving a lognormal the requested coefficient of variation."""
@@ -112,15 +83,12 @@ class VariationSpec:
 
     cv: float
     device_share: float = 0.8
-    distribution: str = "lognormal"
 
     def __post_init__(self):
         if self.cv < 0.0:
             raise ParameterError(f"cv must be >= 0, got {self.cv}")
         if not 0.0 <= self.device_share <= 1.0:
             raise ParameterError(f"device_share must be in [0, 1], got {self.device_share}")
-        if self.distribution != "lognormal":
-            raise ParameterError(f"unsupported distribution {self.distribution!r}")
 
     @property
     def sigma_total(self) -> float:
@@ -312,14 +280,3 @@ def read_current(cell: CellState, v_read: float) -> float:
         raise ParameterError(f"v_read must be >= 0, got {v_read}")
     return v_read / cell.resistance
 
-
-def split_energy(total: float, params: DeviceParams) -> tuple[float, float]:
-    """Split a programming energy into (cell, access transistor) shares.
-
-    Most of the budget burns in the select transistor; the shares sum to
-    ``total`` exactly.
-    """
-    if total < 0.0:
-        raise ParameterError("energy must be >= 0")
-    pcm = params.pcm_energy_fraction * total
-    return pcm, total - pcm

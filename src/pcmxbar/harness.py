@@ -1,24 +1,10 @@
-"""Calibrated experiment configuration and figure-data generators.
+"""Device characterization, epoch calibration, and figure-data scripts.
 
-The calibrated staircase shipped here is fitted to the measured
-epochs-to-recall ladder (target medians 11 / 9 / 5 / 1 at 60 / 40 / 24 / 9
-percent variation); over seeds 0..49 it gives 9 / 6 / 5 / 1. Its shape is a
-large first step, three tiny bracket rungs, one mid jump, then a uniform
-tail:
-
-- the first step sets how far the stored cells move in epoch one, which pins
-  the one-epoch recall at the 9 percent level;
-- the bracket rungs hold epochs 2..4 just short of the 24 percent threshold
-  band so that level needs five epochs;
-- the mid jump clears that band at epoch five;
-- the dense tail walks the remaining levels across the 40 and 60 percent
-  bands, spreading their recalls out over several epochs while keeping each
-  recall close to the threshold (small bias margins).
-
-``calibrate_epochs`` re-runs that search: it scans schedule candidates of the
-same shape (plus noise settings) and keeps the first one whose simulated
-medians sit closest to the targets. At its default 25 seeds that is first
-step 0.155, which ties the shipped 0.163 at residual 2.0.
+``calibrate_epochs`` re-runs the search behind the shipped staircase (see
+``pcmxbar.calibrated``): it scans schedule candidates of the same shape
+(plus noise settings) and keeps the first one whose simulated medians sit
+closest to the targets. At its default 25 seeds that is first step 0.155,
+which ties the shipped 0.163 at residual 2.0.
 """
 
 from __future__ import annotations
@@ -31,8 +17,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._io import ensure_out_dir, write_csv
-from .crossbar import ArrayGeometry, CrossbarState, build_array, resistance_map
+from ._io import ensure_out_dir, write_csv, write_map_csv
+from .calibrated import (
+    CALIBRATED_DEVICE_SHARE,
+    CALIBRATED_SIGMA_C2C,
+    VARIATION_LEVELS,
+    build_decay_schedule,
+    calibrated_device_params,
+    calibrated_variation,
+    characterization_stream,
+    training_stream,
+)
+from .crossbar import ArrayGeometry, build_array, resistance_map
 from .device import (
     CellState,
     DeviceParams,
@@ -56,101 +52,22 @@ from .hopfield import (
 from .metrics import sweep_rows, write_sweep_csv
 
 __all__ = [
-    "CALIBRATED_DECAY_SCHEDULE",
-    "CALIBRATED_SIGMA_C2C",
-    "CALIBRATED_DEVICE_SHARE",
     "CALIBRATION_TARGETS",
-    "VARIATION_LEVELS",
-    "calibrated_device_params",
-    "calibrated_variation",
-    "training_stream",
-    "characterization_stream",
     "params_fingerprint",
-    "Scenario",
     "characterize_device",
-    "build_decay_schedule",
     "CalibrationResult",
     "calibrate_epochs",
     "sweep_figures",
     "reproduce_figures",
 ]
 
-# staircase-shape constants shared by the shipped schedule and the calibrator
-_BRACKET_RUNG = 0.00175
-_MID_JUMP = 0.0202
-
-CALIBRATED_SIGMA_C2C = 0.03
-CALIBRATED_DEVICE_SHARE = 0.8
 CALIBRATION_TARGETS = {0.60: 11, 0.40: 9, 0.24: 5, 0.09: 1}
-VARIATION_LEVELS = (0.60, 0.40, 0.24, 0.09)
-
-
-def build_decay_schedule(first_fraction: float, tail_fraction: float) -> tuple[float, ...]:
-    """Nine-entry staircase schedule from its two free parameters.
-
-    Entries are fractions of the full RESET-to-floor log swing; pulses past
-    the ninth keep using the tail entry.
-    """
-    if first_fraction <= 0.0 or tail_fraction <= 0.0:
-        raise ParameterError("schedule fractions must be positive")
-    return (
-        first_fraction,
-        _BRACKET_RUNG,
-        _BRACKET_RUNG,
-        _BRACKET_RUNG,
-        _MID_JUMP,
-        tail_fraction,
-        tail_fraction,
-        tail_fraction,
-        tail_fraction,
-    )
-
-
-CALIBRATED_DECAY_SCHEDULE = build_decay_schedule(0.163, 0.0114)
-
-
-def calibrated_device_params(**overrides) -> DeviceParams:
-    """Device parameters with the calibrated staircase and programming noise."""
-    kw = dict(sigma_c2c=CALIBRATED_SIGMA_C2C, decay_schedule=CALIBRATED_DECAY_SCHEDULE)
-    kw.update(overrides)
-    return DeviceParams(**kw)
-
-
-def calibrated_variation(cv: float) -> VariationSpec:
-    return VariationSpec(cv=cv, device_share=CALIBRATED_DEVICE_SHARE)
-
-
-def training_stream(seed: int) -> np.random.Generator:
-    """Root generator for the training phase; build uses (seed, 0), this is (seed, 1)."""
-    return np.random.default_rng(np.random.SeedSequence((seed, 1)))
-
-
-def characterization_stream(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, 2)))
 
 
 def params_fingerprint(params: DeviceParams, network: NetworkConfig) -> str:
     """Short stable hash of the physics and recall settings, for provenance lines."""
     blob = json.dumps({"device": asdict(params), "network": asdict(network)}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One named, fully pinned experiment: physics, spread, recall knobs, seed."""
-
-    name: str
-    params: DeviceParams
-    variation: VariationSpec
-    network: NetworkConfig
-    seed: int
-    geometry: ArrayGeometry = ArrayGeometry()
-
-    def build(self) -> CrossbarState:
-        return build_array(self.geometry, self.params, self.variation, self.seed)
-
-    def training_rng(self) -> np.random.Generator:
-        return training_stream(self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +234,6 @@ def calibrate_epochs(
 # figure data
 
 
-def _map_rows(matrix: np.ndarray):
-    return [[w + 1, *matrix[w]] for w in range(matrix.shape[0])]
-
-
-def _map_header(cols: int):
-    return ["wordline"] + [f"bitline_{b}" for b in range(1, cols + 1)]
-
-
 def _representative_seed(cohort: CohortOutcome, i: int) -> int:
     """First seed of cv row ``i`` whose epoch count sits closest to the row's median."""
     epochs = {
@@ -398,7 +307,7 @@ def sweep_figures(
             arr, PATTERN_ONE, MISSING_PIXEL_ONE, traj_cfg, training_stream(rep),
             record_maps=False, continue_after_recall=True,
         )
-        thr_15 = compute_threshold(arr.initial_resistance, NetworkConfig(c_factor=1.5))
+        thr_15 = compute_threshold(arr.initial_resistance, replace(network, c_factor=1.5))
         p = out / f"fig6_{tag}.csv"
         write_csv(
             p,
@@ -470,12 +379,10 @@ def reproduce_figures(
             maps = first.normalized_maps + second.normalized_maps[1:]
             for k, m in enumerate(maps):
                 p = out / f"fig4_epoch{k:02d}.csv"
-                write_csv(p, _map_header(10), _map_rows(m),
-                          provenance={**cv_prov, "epoch": k}, float_fmt="%.6g")
+                write_map_csv(p, m, provenance={**cv_prov, "epoch": k})
                 paths.append(p)
         p = out / f"fig5_{tag}.csv"
-        write_csv(p, _map_header(10), _map_rows(resistance_map(arr, normalized=False)),
-                  provenance=cv_prov, float_fmt="%.6g")
+        write_map_csv(p, resistance_map(arr, normalized=False), provenance=cv_prov)
         paths.append(p)
         counts, edges = np.histogram(np.log10(arr.initial_resistance), bins=24)
         p = out / f"fig5_{tag}_hist.csv"

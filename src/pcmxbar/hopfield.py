@@ -16,9 +16,11 @@ programmed, which is what makes false firing structurally impossible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from .calibrated import CALIBRATED_DEVICE_SHARE, TRAINING, seed_sequence
 from .crossbar import (
     ArrayGeometry,
     CrossbarState,
@@ -75,13 +77,9 @@ class Pattern:
     def n(self) -> int:
         return len(self.pixels)
 
-    @property
+    @cached_property
     def on(self) -> frozenset[int]:
         return frozenset(i for i, p in enumerate(self.pixels, start=1) if p)
-
-    @property
-    def off(self) -> frozenset[int]:
-        return frozenset(i for i, p in enumerate(self.pixels, start=1) if not p)
 
 
 # the two stored images: 5 pixels each, disjoint, cued with one pixel hidden
@@ -359,7 +357,7 @@ def run_cohort(
     params: DeviceParams,
     config: NetworkConfig,
     *,
-    device_share: float = 0.8,
+    device_share: float = CALIBRATED_DEVICE_SHARE,
     geometry: ArrayGeometry | None = None,
     pattern: Pattern = PATTERN_ONE,
     missing_pixel: int = MISSING_PIXEL_ONE,
@@ -367,8 +365,8 @@ def run_cohort(
     """Early-stop single-pattern runs on fresh arrays, every (cv, seed) pair at once.
 
     Each pair gives the outcome of ``run_learning`` on ``build_array(geometry,
-    params, VariationSpec(cv, device_share), seed)`` with the training stream
-    ``SeedSequence((seed, 1))``, bit for bit, but records no per-epoch trace.
+    params, VariationSpec(cv, device_share), seed)`` with the seed's training
+    stream, bit for bit, but records no per-epoch trace.
     A seed's build draws do not depend on the cv, and its epoch-k training
     child depends only on the seed and k, so each seed draws once for all
     cvs: one root per seed spawns its child while any of its cvs still
@@ -407,7 +405,7 @@ def run_cohort(
     read_block = (np.array(cue, dtype=np.intp) - 1, np.array(sensed, dtype=np.intp) - 1)
     missing = sensed.index(missing_pixel)
     read_cost = config.v_read**2 * config.read_duration
-    roots = [np.random.SeedSequence((seed, 1)) for seed in unique]
+    roots = [seed_sequence(seed, TRAINING) for seed in unique]
 
     epochs = np.zeros(len(resistance), dtype=np.int64)
     converged = np.zeros(len(resistance), dtype=bool)

@@ -1,4 +1,4 @@
-"""Energy ledgers, read-bias sensitivity, and variation sweeps.
+"""Read-bias sensitivity and variation sweeps.
 
 Sensitivity exploits that recall currents are exactly linear in the read
 bias and nothing else in a run depends on it: one recorded trajectory
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import write_csv, write_json
+from ._io import write_csv
+from .calibrated import CALIBRATED_DEVICE_SHARE, training_stream
 from .crossbar import ArrayGeometry, build_array
 from .device import DeviceParams, VariationSpec
 from .errors import ParameterError, ProtocolError
@@ -28,14 +29,12 @@ from .hopfield import (
 )
 
 __all__ = [
-    "EnergyLedger",
     "SensitivityResult",
     "DEFAULT_PERTURBATION_GRID",
     "read_voltage_sensitivity",
     "variation_sweep",
     "sweep_rows",
     "write_sweep_csv",
-    "write_sensitivity_json",
     "SWEEP_COLUMNS",
 ]
 
@@ -43,47 +42,6 @@ __all__ = [
 DEFAULT_PERTURBATION_GRID = tuple(round(k / 100.0, 2) for k in range(1, 51))
 
 SWEEP_COLUMNS = ("cv", "median_epochs", "median_energy_joules", "n_seeds", "n_nonconverged")
-
-
-@dataclass(frozen=True)
-class EnergyLedger:
-    """Energy bookkeeping for one run.
-
-    Programming energy is always the event count times the per-pulse energy,
-    an exact integer-times-float identity, so totals never drift from the
-    pulse record.
-    """
-
-    program_event_count: int
-    e_prog: float
-    read_energy: float
-    pcm_energy_fraction: float
-
-    @classmethod
-    def from_trace(cls, trace, params: DeviceParams) -> "EnergyLedger":
-        return cls(
-            program_event_count=trace.program_event_count,
-            e_prog=params.e_prog,
-            read_energy=trace.read_energy,
-            pcm_energy_fraction=params.pcm_energy_fraction,
-        )
-
-    @property
-    def program_energy(self) -> float:
-        return self.program_event_count * self.e_prog
-
-    @property
-    def total_energy(self) -> float:
-        return self.program_energy + self.read_energy
-
-    @property
-    def pcm_program_energy(self) -> float:
-        """Share dissipated in the cells themselves; the rest heats the access transistors."""
-        return self.pcm_energy_fraction * self.program_energy
-
-    @property
-    def transistor_program_energy(self) -> float:
-        return self.program_energy - self.pcm_program_energy
 
 
 @dataclass(frozen=True)
@@ -149,13 +107,12 @@ def read_voltage_sensitivity(
             raise ParameterError("perturbation grid must be ascending within (0, 1)")
         last = d
     arr = build_array(geometry or ArrayGeometry(), params, variation, seed)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     trace = run_learning(
         arr,
         pattern,
         missing_pixel,
         network,
-        rng,
+        training_stream(seed),
         record_maps=False,
         continue_after_recall=True,
     )
@@ -196,7 +153,7 @@ def variation_sweep(
     params: DeviceParams,
     network: NetworkConfig,
     *,
-    device_share: float = 0.8,
+    device_share: float = CALIBRATED_DEVICE_SHARE,
     geometry: ArrayGeometry | None = None,
     pattern: Pattern = PATTERN_ONE,
     missing_pixel: int = MISSING_PIXEL_ONE,
@@ -251,6 +208,3 @@ def write_sweep_csv(rows, path, provenance: dict | None = None) -> None:
     data = [[row[col] for col in SWEEP_COLUMNS] for row in rows]
     write_csv(path, SWEEP_COLUMNS, data, provenance=provenance)
 
-
-def write_sensitivity_json(result: SensitivityResult, path, provenance: dict | None = None) -> None:
-    write_json(path, result.to_dict(), provenance=provenance)

@@ -24,7 +24,7 @@ import pytest
 from pcmxbar.cli import main
 from pcmxbar.crossbar import ArrayGeometry, build_array, read_recall_currents, resistance_map
 from pcmxbar.device import CellState, DeviceParams, apply_gradual_set
-from pcmxbar.harness import (
+from pcmxbar.calibrated import (
     VARIATION_LEVELS,
     calibrated_device_params,
     calibrated_variation,

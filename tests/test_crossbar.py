@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcmxbar._io import write_map_csv
 from pcmxbar.crossbar import (
     ArrayGeometry,
     build_array,
     apply_update_phase,
-    export_resistance_map,
     read_recall_currents,
     resistance_map,
 )
@@ -65,19 +65,6 @@ def test_build_pooled_spread():
     assert abs(np.median(vals) - 3.0e6) / 3.0e6 < 0.10
     cv = vals.std() / vals.mean()
     assert 0.54 < cv < 0.66
-
-
-def test_cell_accessor_is_snapshot():
-    arr = build_array(ArrayGeometry(), DeviceParams(), VariationSpec(cv=0.24), seed=3)
-    cell = arr.cell(2, 7)
-    assert cell.resistance == arr.resistance[1, 6]
-    assert cell.initial_reset_resistance == arr.initial_resistance[1, 6]
-    cell.resistance = 1.0
-    assert arr.resistance[1, 6] != 1.0
-    with pytest.raises(ParameterError):
-        arr.cell(0, 1)
-    with pytest.raises(ParameterError):
-        arr.cell(1, 11)
 
 
 def test_update_empty_firing_is_noop():
@@ -218,12 +205,12 @@ def test_export_resistance_map_csv(tmp_path):
     arr = build_array(ArrayGeometry(), DeviceParams(), VariationSpec(cv=0.40), seed=9)
     apply_update_phase(arr, {1, 2, 3}, np.random.default_rng(4))
     path = tmp_path / "map.csv"
-    export_resistance_map(arr, path, provenance={"seed": 9})
+    write_map_csv(path, resistance_map(arr), provenance={"seed": 9})
     lines = path.read_text().splitlines()
     comments = [ln for ln in lines if ln.startswith("#")]
     assert any("seed=9" in ln for ln in comments)
     header = next(ln for ln in lines if not ln.startswith("#"))
-    assert header.split(",")[0] == "wordline"
+    assert header == "wordline," + ",".join(f"bitline_{b}" for b in range(1, 11))
     data = [ln for ln in lines if not ln.startswith("#")][1:]
     assert len(data) == 10  # one row per wordline
     m = resistance_map(arr)
@@ -233,3 +220,8 @@ def test_export_resistance_map_csv(tmp_path):
         vals = [float(x) for x in fields[1:]]
         assert len(vals) == 10
         assert vals == pytest.approx(m[r], rel=1e-5)  # 6 significant digits
+    # the header and the row labels follow the matrix's own shape
+    write_map_csv(tmp_path / "rect.csv", np.full((2, 3), 0.5))
+    assert (tmp_path / "rect.csv").read_text() == (
+        "wordline,bitline_1,bitline_2,bitline_3\n1,0.5,0.5,0.5\n2,0.5,0.5,0.5\n"
+    )

@@ -11,7 +11,6 @@ from pcmxbar.device import (
     GRADUAL_SET_PULSE,
     RESET_PULSE,
     SET_PULSE,
-    WORDLINE_SELECT_VOLTAGE,
     CellState,
     DeviceParams,
     Pulse,
@@ -21,11 +20,9 @@ from pcmxbar.device import (
     apply_gradual_set,
     gradual_step_fraction,
     lognormal_sigma,
-    pulse_regime,
     read_current,
     sample_device_factor,
     sample_reset_resistance,
-    split_energy,
 )
 from pcmxbar.errors import ParameterError
 
@@ -62,20 +59,6 @@ def test_default_pulse_shapes():
     assert RESET_PULSE == Pulse(1.5, 5e-9, 50e-9, 5e-9)
     assert GRADUAL_SET_PULSE.amplitude_v == 0.85
     assert GRADUAL_SET_PULSE.width_s == SET_PULSE.width_s
-    assert WORDLINE_SELECT_VOLTAGE == 3.3
-
-
-def test_pulse_regime_bands():
-    assert pulse_regime(0.05) == "read"
-    assert pulse_regime(0.1) == "read"
-    assert pulse_regime(0.85) == "gradual_set"
-    assert pulse_regime(1.0) == "set"
-    assert pulse_regime(1.5) == "reset"
-    assert pulse_regime(1.8) == "reset"
-    with pytest.raises(ParameterError):
-        pulse_regime(0.3)
-    with pytest.raises(ParameterError):
-        pulse_regime(-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +118,6 @@ def test_variation_spec_validation():
         VariationSpec(cv=-0.1)
     with pytest.raises(ParameterError):
         VariationSpec(cv=0.6, device_share=1.2)
-    with pytest.raises(ParameterError):
-        VariationSpec(cv=0.6, distribution="normal")
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +359,3 @@ def test_read_does_not_mutate():
     before = (cell.resistance, cell.pulses_applied)
     read_current(cell, 0.1)
     assert (cell.resistance, cell.pulses_applied) == before
-
-
-def test_split_energy_shares():
-    params = DeviceParams()
-    pcm, transistor = split_energy(52.8e-9, params)
-    assert pcm == pytest.approx(5.28e-9, rel=1e-12)
-    assert transistor == pytest.approx(47.52e-9, rel=1e-12)
-    assert pcm + transistor == 52.8e-9  # exact by construction
-    with pytest.raises(ParameterError):
-        split_energy(-1.0, params)

