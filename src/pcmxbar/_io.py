@@ -45,9 +45,14 @@ def write_map_csv(path, matrix, provenance=None) -> None:
 
 
 def write_json(path, obj, provenance=None) -> None:
+    """Write strict JSON; a NaN or infinity raises OutputError, never a bare token."""
     if provenance:
         obj = {"provenance": dict(provenance), **obj}
-    _write_text(Path(path), json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
+    _write_text(Path(path), text + "\n")
 
 
 def _write_text(path: Path, text: str) -> None:

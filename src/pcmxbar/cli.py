@@ -26,6 +26,7 @@ from .config import (
     RunConfig,
     apply_config_file,
     apply_env,
+    apply_setting,
     config_hash,
     default_run_config,
 )
@@ -52,7 +53,7 @@ def _version_string() -> str:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="INI config file")
-    common.add_argument("--seed", type=int, help="root random seed")
+    common.add_argument("--seed", help="root random seed")
     common.add_argument("--out", metavar="DIR", help="output directory")
     common.add_argument("--quiet", action="store_true", default=None,
                         help="suppress progress output")
@@ -95,7 +96,7 @@ def _assemble_config(args) -> RunConfig:
         apply_config_file(cfg, file_path)
     apply_env(cfg, os.environ)
     if args.seed is not None:
-        cfg.seed = args.seed
+        apply_setting(cfg, "run", "seed", args.seed, "--seed")
     if args.out is not None:
         cfg.out = Path(args.out)
     if args.quiet is not None:
@@ -103,7 +104,7 @@ def _assemble_config(args) -> RunConfig:
     if getattr(args, "cv", None) is not None:
         cfg.cv = args.cv
     if getattr(args, "cvs", None) is not None:
-        cfg.cvs = tuple(float(part) for part in args.cvs.split(","))
+        apply_setting(cfg, "variation", "cvs", args.cvs, "--cvs")
     if getattr(args, "cycles", None) is not None:
         cfg.cycles = args.cycles
     if getattr(args, "seeds", None) is not None:
@@ -134,7 +135,7 @@ def _provenance(cfg: RunConfig) -> dict:
 def cmd_characterize(cfg: RunConfig) -> int:
     out = ensure_out_dir(cfg.out)
     tables = characterize_device(
-        cfg.device, cfg.variation(), cfg.cycles, cfg.seed, out_dir=out
+        cfg.device, cfg.variation(), cfg.cycles, cfg.seed, out_dir=out, network=cfg.network
     )
     for path in tables["paths"]:
         _say(cfg, f"wrote {path}")

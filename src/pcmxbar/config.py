@@ -26,6 +26,7 @@ from .hopfield import NetworkConfig
 __all__ = [
     "RunConfig",
     "default_run_config",
+    "apply_setting",
     "apply_config_file",
     "apply_env",
     "config_render",
@@ -78,6 +79,13 @@ def _parse_cvs(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
 
 
+def _parse_seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 # section -> key -> parser; a [device] or [network] key rebuilds that
 # dataclass, any other key sets the RunConfig field of the same name
 _SCHEMA = {
@@ -105,7 +113,7 @@ _SCHEMA = {
         "read_duration": float,
     },
     "run": {
-        "seed": int,
+        "seed": _parse_seed,
         "out": Path,
         "quiet": _parse_bool,
         "cycles": int,
@@ -116,7 +124,8 @@ _SCHEMA = {
 }
 
 
-def _apply_setting(cfg: RunConfig, section: str, key: str, raw: str, origin: str) -> None:
+def apply_setting(cfg: RunConfig, section: str, key: str, raw: str, origin: str) -> None:
+    """Parse ``raw`` for ``[section] key`` and set it; any failure is a ConfigError."""
     keys = _SCHEMA.get(section)
     if keys is None:
         raise ConfigError(f"unknown section [{section}] in {origin}")
@@ -148,7 +157,7 @@ def apply_config_file(cfg: RunConfig, path) -> RunConfig:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     for section in parser.sections():
         for key, raw in parser.items(section):
-            _apply_setting(cfg, section.lower(), key.lower(), raw, str(path))
+            apply_setting(cfg, section.lower(), key.lower(), raw, str(path))
     return cfg
 
 
@@ -164,13 +173,13 @@ def apply_env(cfg: RunConfig, environ) -> RunConfig:
         if rest in _ENV_SHORTHAND:
             key = _ENV_SHORTHAND[rest]
             if key is not None:  # PCMXBAR_CONFIG is consumed by the CLI itself
-                _apply_setting(cfg, "run", key, environ[name], f"${name}")
+                apply_setting(cfg, "run", key, environ[name], f"${name}")
             continue
         section, _, key = rest.partition("_")
         section = section.lower()
         if section not in _SCHEMA:
             raise ConfigError(f"unrecognized environment variable {name}")
-        _apply_setting(cfg, section, key.lower(), environ[name], f"${name}")
+        apply_setting(cfg, section, key.lower(), environ[name], f"${name}")
     return cfg
 
 

@@ -85,8 +85,8 @@ class VariationSpec:
     device_share: float = 0.8
 
     def __post_init__(self):
-        if self.cv < 0.0:
-            raise ParameterError(f"cv must be >= 0, got {self.cv}")
+        if not math.isfinite(self.cv) or self.cv < 0.0:
+            raise ParameterError(f"cv must be finite and >= 0, got {self.cv}")
         if not 0.0 <= self.device_share <= 1.0:
             raise ParameterError(f"device_share must be in [0, 1], got {self.device_share}")
 
@@ -128,30 +128,30 @@ class DeviceParams:
     gradual_set_pulse: Pulse = GRADUAL_SET_PULSE
 
     def __post_init__(self):
-        if self.r_set_floor <= 0.0:
-            raise ParameterError("r_set_floor must be positive")
-        if self.r_reset_median <= self.r_set_floor:
+        if not math.isfinite(self.r_set_floor) or self.r_set_floor <= 0.0:
+            raise ParameterError("r_set_floor must be finite and positive")
+        if not math.isfinite(self.r_reset_median) or self.r_reset_median <= self.r_set_floor:
             raise ParameterError(
                 f"r_reset_median ({self.r_reset_median}) must exceed "
                 f"r_set_floor ({self.r_set_floor})"
             )
         if self.gradual_levels < 1:
             raise ParameterError("gradual_levels must be >= 1")
-        if self.sigma_c2c < 0.0:
-            raise ParameterError("sigma_c2c must be >= 0")
-        if self.e_prog <= 0.0:
-            raise ParameterError("e_prog must be positive")
-        if self.e_reset is not None and self.e_reset <= 0.0:
-            raise ParameterError("e_reset must be positive when given")
+        if not math.isfinite(self.sigma_c2c) or self.sigma_c2c < 0.0:
+            raise ParameterError("sigma_c2c must be finite and >= 0")
+        if not math.isfinite(self.e_prog) or self.e_prog <= 0.0:
+            raise ParameterError("e_prog must be finite and positive")
+        if self.e_reset is not None and (not math.isfinite(self.e_reset) or self.e_reset <= 0.0):
+            raise ParameterError("e_reset must be finite and positive when given")
         if not 0.0 <= self.pcm_energy_fraction <= 1.0:
             raise ParameterError("pcm_energy_fraction must be in [0, 1]")
-        if self.v_read_default < 0.0:
-            raise ParameterError("v_read_default must be >= 0")
+        if not math.isfinite(self.v_read_default) or self.v_read_default < 0.0:
+            raise ParameterError("v_read_default must be finite and >= 0")
         if self.decay_schedule is not None:
             if len(self.decay_schedule) == 0:
                 raise ParameterError("decay_schedule must not be empty")
-            if any(f <= 0.0 for f in self.decay_schedule):
-                raise ParameterError("decay_schedule entries must be positive")
+            if any(not math.isfinite(f) or f <= 0.0 for f in self.decay_schedule):
+                raise ParameterError("decay_schedule entries must be finite and positive")
             object.__setattr__(self, "decay_schedule", tuple(self.decay_schedule))
 
     @property

@@ -38,7 +38,7 @@ from .device import (
     apply_gradual_set,
     sample_device_factor,
 )
-from .errors import ParameterError, ProtocolError
+from .errors import ConfigError, ParameterError, ProtocolError
 from .hopfield import (
     MISSING_PIXEL_ONE,
     PATTERN_ONE,
@@ -80,6 +80,7 @@ def characterize_device(
     cycles: int,
     seed: int,
     out_dir=None,
+    network: NetworkConfig | None = None,
 ) -> dict:
     """Single-cell characterization tables: cycling, spread, staircases.
 
@@ -88,7 +89,8 @@ def characterize_device(
     - staircases: one device re-RESET ``cycles`` times, nine gradual pulses
       after each, recorded as pulse 0 (fresh RESET) through 9
 
-    Returns the tables; with ``out_dir`` also writes fig2b/fig2c/fig2d.csv.
+    Returns the tables; with ``out_dir`` also writes fig2b/fig2c/fig2d.csv,
+    whose ``params_hash`` covers ``network`` (default ``NetworkConfig()``).
     """
     if cycles < 1:
         raise ParameterError("cycles must be >= 1")
@@ -133,7 +135,7 @@ def characterize_device(
         prov = {
             "seed": seed,
             "version": __version__,
-            "params_hash": params_fingerprint(params, NetworkConfig()),
+            "params_hash": params_fingerprint(params, network or NetworkConfig()),
         }
         write_csv(out / "fig2b.csv", ("cycle", "operation", "resistance_ohms"),
                   cycling, provenance=prov)
@@ -269,7 +271,13 @@ def sweep_figures(
     cohort outcomes) past recall for ``trajectory_epochs`` epochs and
     tabulates the missing pixel's current against both threshold choices.
     Returns the written paths and the representative seed of each cv.
+    Raises ConfigError, before writing anything, when two distinct cvs
+    round to the same two-decimal file tag.
     """
+    levels = sorted(set(float(c) for c in cvs), reverse=True)
+    tags = [f"{cv:.2f}" for cv in levels]
+    if len(set(tags)) < len(tags):
+        raise ConfigError(f"cvs {levels} share a two-decimal fig6 file tag: {tags}")
     out = ensure_out_dir(out_dir)
     params = params or calibrated_device_params()
     network = network or NetworkConfig()
@@ -284,10 +292,7 @@ def sweep_figures(
 
     if not seed_range:
         raise ParameterError("sweep needs at least one seed")
-    cohort = run_cohort(
-        sorted(set(float(c) for c in cvs), reverse=True),
-        seed_range, params, network, device_share=device_share,
-    )
+    cohort = run_cohort(levels, seed_range, params, network, device_share=device_share)
     fig7 = out / "fig7.csv"
     write_sweep_csv(
         sweep_rows(cohort), fig7,

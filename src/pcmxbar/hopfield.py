@@ -15,6 +15,7 @@ programmed, which is what makes false firing structurally impossible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -100,16 +101,16 @@ class NetworkConfig:
     read_duration: float = 300e-9
 
     def __post_init__(self):
-        if self.c_factor <= 0.0:
-            raise ParameterError("c_factor must be positive")
-        if self.v_read < 0.0:
-            raise ParameterError("v_read must be >= 0")
+        if not math.isfinite(self.c_factor) or self.c_factor <= 0.0:
+            raise ParameterError("c_factor must be finite and positive")
+        if not math.isfinite(self.v_read) or self.v_read < 0.0:
+            raise ParameterError("v_read must be finite and >= 0")
         if self.recall_on_count < 1:
             raise ParameterError("recall_on_count must be >= 1")
         if self.max_epochs < 1:
             raise ParameterError("max_epochs must be >= 1")
-        if self.read_duration <= 0.0:
-            raise ParameterError("read_duration must be positive")
+        if not math.isfinite(self.read_duration) or self.read_duration <= 0.0:
+            raise ParameterError("read_duration must be finite and positive")
 
 
 def compute_threshold(initial_resistance: np.ndarray, config: NetworkConfig):
@@ -288,7 +289,7 @@ def run_learning(
     Each epoch draws from its own spawned child stream, so traces replay
     exactly from the same root generator regardless of where they stop.
     ``continue_after_recall`` keeps training through ``max_epochs`` anyway,
-    which records the full current trajectory for sensitivity work.
+    which records the full current trajectory for the fig6 tables.
     Non-convergence is a reported outcome, not an error.
     """
     if missing_pixel not in pattern.on:

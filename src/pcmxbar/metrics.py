@@ -1,10 +1,11 @@
 """Read-bias sensitivity and variation sweeps.
 
 Sensitivity exploits that recall currents are exactly linear in the read
-bias and nothing else in a run depends on it: one recorded trajectory
-(training continued past recall) is enough to predict the epoch count for
-any rescaled bias against the fixed threshold. A test pins this shortcut to
-a genuine rerun.
+bias and nothing else in a run depends on it: one trajectory, recorded up to
+the recall epoch, is enough to predict the epoch count for any rescaled bias
+against the fixed threshold. Later epochs cannot matter, because a raised
+bias crosses by the recall epoch at the latest and a lowered one cannot
+cross before it. A test pins this shortcut to a genuine rerun.
 """
 
 from __future__ import annotations
@@ -95,11 +96,15 @@ def read_voltage_sensitivity(
 ) -> SensitivityResult:
     """Scan bias perturbations for the smallest one that changes the outcome.
 
-    Builds the array for ``seed``, trains through the full epoch budget, and
+    Builds the array for ``seed``, trains up to the recall epoch ``b``, and
     replays the recorded current trajectory scaled by (1 +/- delta) against
-    the unchanged threshold. Returns the sentinel (None) when no grid entry
-    flips. Raises ProtocolError when the unperturbed run never recalls,
-    since there is no baseline to compare against.
+    the unchanged threshold ``T``. A raised bias crosses by ``b`` at the
+    latest, since ``(1+d)*I_b >= I_b > T`` under IEEE rounding, and a
+    lowered one cannot cross before ``b``, since ``(1-d)*I_e <= I_e <= T``
+    for every ``e < b``; so epochs after ``b`` never change the answer.
+    Returns the sentinel (None) when no grid entry flips. Raises
+    ProtocolError when the unperturbed run never recalls, since there is no
+    baseline to compare against.
     """
     last = 0.0
     for d in grid:
@@ -108,13 +113,7 @@ def read_voltage_sensitivity(
         last = d
     arr = build_array(geometry or ArrayGeometry(), params, variation, seed)
     trace = run_learning(
-        arr,
-        pattern,
-        missing_pixel,
-        network,
-        training_stream(seed),
-        record_maps=False,
-        continue_after_recall=True,
+        arr, pattern, missing_pixel, network, training_stream(seed), record_maps=False
     )
     if not trace.converged:
         raise ProtocolError(

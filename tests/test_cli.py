@@ -1,12 +1,19 @@
 """Command-line interface: subcommands, config layering, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from pcmxbar.cli import main
 from pcmxbar.config import config_hash, default_run_config
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -180,3 +187,95 @@ def test_device_env_override_changes_physics(tmp_path, capsys, monkeypatch):
     rc, _, _ = run(capsys, "learn", "--cv", "0", "--seed", "1", "--out", str(out))
     assert rc == 0
     assert json.loads((out / "trace1.json").read_text())["epochs_to_recall"] == 2
+
+
+BAD_INPUTS = [
+    (("learn", "--cv", "nan"), {}),
+    (("learn", "--cv", "inf"), {}),
+    (("learn", "--seed", "-1"), {}),
+    (("learn",), {"PCMXBAR_SEED": "-1"}),
+    (("learn",), {"PCMXBAR_RUN_SEED": "-1"}),
+    (("sweep", "--cvs", ","), {}),
+    (("sweep", "--cvs", "0.24,nan"), {}),
+    (("learn",), {"PCMXBAR_NETWORK_C_FACTOR": "nan"}),
+    (("learn",), {"PCMXBAR_NETWORK_V_READ": "inf"}),
+    (("learn",), {"PCMXBAR_DEVICE_R_SET_FLOOR": "nan"}),
+    (("learn",), {"PCMXBAR_DEVICE_SIGMA_C2C": "nan"}),
+    (("learn",), {"PCMXBAR_DEVICE_DECAY_SCHEDULE": "0.2,nan"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,env", BAD_INPUTS, ids=[" ".join(a) + "".join(f" {k}={v}" for k, v in e.items())
+                                 for a, e in BAD_INPUTS]
+)
+def test_bad_input_is_config_error(tmp_path, capsys, monkeypatch, argv, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "bad"
+    rc, _, err = run(capsys, *argv, "--out", str(out))
+    assert rc == 2
+    assert err.startswith("pcmxbar: ")
+    assert "Traceback" not in err
+    assert not list(out.glob("*.json")) and not list(out.glob("*.csv"))
+
+
+def test_sweep_rejects_cvs_sharing_a_file_tag(tmp_path, capsys):
+    out = tmp_path / "clash"
+    rc, stdout, err = run(
+        capsys, "sweep", "--cvs", "0.241,0.244", "--seeds", "3", "--out", str(out)
+    )
+    assert rc == 2
+    assert "fig6" in err
+    assert stdout == ""
+    assert not out.exists() or not list(out.iterdir())
+
+
+def _params_hash(path):
+    line = next(ln for ln in path.read_text().splitlines() if ln.startswith("# params_hash="))
+    return line.split("=", 1)[1]
+
+
+def test_characterize_hashes_the_configured_network(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PCMXBAR_NETWORK_V_READ", "0.2")
+    assert main(["characterize", "--cycles", "1", "--out", str(tmp_path / "c")]) == 0
+    assert main(["learn", "--out", str(tmp_path / "l")]) == 0
+    capsys.readouterr()
+    learned = json.loads((tmp_path / "l" / "trace1.json").read_text())["provenance"]
+    characterized = _params_hash(tmp_path / "c" / "fig2b.csv")
+    assert characterized == learned["params_hash"]
+    monkeypatch.delenv("PCMXBAR_NETWORK_V_READ")
+    assert main(["characterize", "--cycles", "1", "--out", str(tmp_path / "d")]) == 0
+    assert _params_hash(tmp_path / "d" / "fig2b.csv") != characterized
+
+
+def test_redirected_calls_leave_stdout_to_the_caller(tmp_path):
+    # a caller that redirects sys.stdout around each call, and prints its own
+    # result line last, must find that line last: the package prints nothing
+    # past the redirect, to stderr, or at interpreter exit
+    code = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        import pcmxbar
+        from pcmxbar import cli, config, metrics
+
+        out = sys.argv[1]
+        for argv in (["learn"], ["characterize"], ["sweep", "--seeds", "3"],
+                     ["calibrate", "--seeds", "2"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([*argv, "--out", f"{out}/{argv[0]}"])
+            if code != 0:
+                sys.exit(f"{argv[0]} exited {code}")
+        cfg = config.default_run_config()
+        metrics.read_voltage_sensitivity(cfg.device, cfg.variation(0.60), cfg.network, 0)
+        print("SENTINEL")
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.stdout == "SENTINEL\n"
+    assert result.stderr == ""
+    assert result.returncode == 0

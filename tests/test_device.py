@@ -120,6 +120,28 @@ def test_variation_spec_validation():
         VariationSpec(cv=0.6, device_share=1.2)
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize(
+    "field", ("r_reset_median", "r_set_floor", "sigma_c2c", "e_prog", "e_reset", "v_read_default")
+)
+def test_device_params_reject_non_finite(field, value):
+    with pytest.raises(ParameterError):
+        DeviceParams(**{field: value})
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_non_finite_variation_and_schedule_rejected(value):
+    with pytest.raises(ParameterError):
+        VariationSpec(cv=value)
+    with pytest.raises(ParameterError):
+        VariationSpec(cv=0.24, device_share=value)
+    with pytest.raises(ParameterError):
+        DeviceParams(decay_schedule=(0.1, value))
+
+
 # ---------------------------------------------------------------------------
 # reset sampling
 

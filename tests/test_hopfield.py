@@ -72,6 +72,13 @@ def test_pattern_construction():
     assert q == p
 
 
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("field", ("c_factor", "v_read", "read_duration"))
+def test_network_config_rejects_non_finite(field, value):
+    with pytest.raises(ParameterError):
+        NetworkConfig(**{field: value})
+
+
 def test_pattern_validation():
     with pytest.raises(ParameterError):
         Pattern(pixels=(1, 2, 0))

@@ -6,15 +6,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pcmxbar._io import write_json
+from pcmxbar.calibrated import CALIBRATED_DECAY_SCHEDULE, training_stream
 from pcmxbar.config import default_run_config
 from pcmxbar.crossbar import ArrayGeometry, build_array
 from pcmxbar.device import DeviceParams, VariationSpec
-from pcmxbar.errors import ProtocolError
-from pcmxbar.hopfield import PATTERN_ONE, NetworkConfig, run_learning
+from pcmxbar.errors import OutputError, ProtocolError
+from pcmxbar.hopfield import MISSING_PIXEL_ONE, PATTERN_ONE, NetworkConfig, run_learning
 from pcmxbar.metrics import (
     DEFAULT_PERTURBATION_GRID,
+    SensitivityResult,
     read_voltage_sensitivity,
     variation_sweep,
     write_sweep_csv,
@@ -174,6 +178,97 @@ def test_sensitivity_first_epoch_margin_is_threshold_gap():
     assert checked >= 40
 
 
+def full_trajectory_sensitivity(params, variation, network, seed, *, grid=DEFAULT_PERTURBATION_GRID):
+    """Brute-force reference: train through the whole budget, scan every epoch."""
+    arr = build_array(ArrayGeometry(), params, variation, seed)
+    trace = run_learning(
+        arr, PATTERN_ONE, MISSING_PIXEL_ONE, network, training_stream(seed),
+        record_maps=False, continue_after_recall=True,
+    )
+    if not trace.converged:
+        raise ProtocolError(
+            f"baseline run (cv={variation.cv}, seed={seed}) never recalled; "
+            "sensitivity is undefined without a baseline"
+        )
+    currents = [ep.recall_currents[MISSING_PIXEL_ONE] for ep in trace.epochs]
+
+    def first_crossing(scaled):
+        return next((e for e, i in enumerate(scaled, start=1) if i > trace.threshold), None)
+
+    min_delta = direction = None
+    for d in grid:
+        up_flip = first_crossing([(1.0 + d) * i for i in currents]) != trace.epochs_to_recall
+        down_flip = first_crossing([(1.0 - d) * i for i in currents]) != trace.epochs_to_recall
+        if up_flip or down_flip:
+            min_delta = d
+            direction = "both" if (up_flip and down_flip) else ("up" if up_flip else "down")
+            break
+    return SensitivityResult(
+        cv=variation.cv, seed=seed, v_read=network.v_read, threshold=trace.threshold,
+        base_epochs=trace.epochs_to_recall, grid=tuple(grid),
+        min_relative_perturbation=min_delta, flip_direction=direction,
+    )
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs).to_dict()
+    except ProtocolError as exc:
+        return ("ProtocolError", str(exc))
+
+
+# a step so small that 1.0 + d == 1.0 and 1.0 - d == 1.0 in double precision
+TINY_STEP = 2.0**-60
+
+grids = st.lists(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+    | st.just(TINY_STEP),
+    max_size=8,
+    unique=True,
+).map(lambda ds: tuple(sorted(ds)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    grid=grids,
+    cv=st.floats(min_value=0.0, max_value=0.9),
+    seed=st.integers(min_value=0, max_value=2**32),
+    c_factor=st.floats(min_value=0.5, max_value=3.0),
+    sigma_c2c=st.sampled_from((0.0, 0.03, 0.1)) | st.floats(min_value=0.0, max_value=0.3),
+    v_read=st.floats(min_value=0.0, max_value=0.5),
+    max_epochs=st.integers(min_value=1, max_value=30),
+)
+@example(  # tight spread: flips downward at the first recall epoch
+    grid=DEFAULT_PERTURBATION_GRID, cv=0.09, seed=0, c_factor=2.0, sigma_c2c=0.03,
+    v_read=0.1, max_epochs=100,
+)
+@example(  # wide spread over the full budget
+    grid=DEFAULT_PERTURBATION_GRID, cv=0.60, seed=3, c_factor=2.0, sigma_c2c=0.03,
+    v_read=0.1, max_epochs=100,
+)
+@example(  # a step too small to move any current, then a real one
+    grid=(TINY_STEP, 0.3), cv=0.40, seed=5, c_factor=2.0, sigma_c2c=0.03,
+    v_read=0.1, max_epochs=100,
+)
+@example(  # the baseline never recalls within the budget
+    grid=DEFAULT_PERTURBATION_GRID, cv=0.60, seed=0, c_factor=2.0, sigma_c2c=0.03,
+    v_read=0.1, max_epochs=1,
+)
+@example(  # no read bias, no current: never recalls
+    grid=DEFAULT_PERTURBATION_GRID, cv=0.24, seed=1, c_factor=2.0, sigma_c2c=0.03,
+    v_read=0.0, max_epochs=5,
+)
+def test_sensitivity_matches_full_trajectory_oracle(
+    grid, cv, seed, c_factor, sigma_c2c, v_read, max_epochs
+):
+    params = DeviceParams(sigma_c2c=sigma_c2c, decay_schedule=CALIBRATED_DECAY_SCHEDULE)
+    variation = VariationSpec(cv=cv)
+    network = NetworkConfig(c_factor=c_factor, v_read=v_read, max_epochs=max_epochs)
+    expected = _outcome(full_trajectory_sensitivity, params, variation, network, seed, grid=grid)
+    got = _outcome(read_voltage_sensitivity, params, variation, network, seed, grid=grid)
+    assert got == expected
+
+
 # ---------------------------------------------------------------------------
 # variation sweep
 
@@ -246,3 +341,11 @@ def test_sensitivity_json(tmp_path):
     assert data["min_relative_perturbation"] == pytest.approx(0.07)
     assert data["flip_direction"] == "up"
     assert data["provenance"]["seed"] == 1
+
+
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+def test_write_json_rejects_non_finite(tmp_path, value):
+    path = tmp_path / "bad.json"
+    with pytest.raises(OutputError, match="bad.json"):
+        write_json(path, {"threshold_amps": value}, provenance={"seed": 1})
+    assert not path.exists()
