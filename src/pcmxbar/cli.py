@@ -7,6 +7,12 @@ Subcommands:
 - sweep:        the variation comparison (fig6 trajectories + fig7 table)
 - calibrate:    re-run the staircase fit against the epoch targets
 
+Flags follow the subcommand (``pcmxbar learn --seed 5``). Each is one row of
+``_RUN_FLAGS`` or ``_COMMANDS`` naming the ``[section] key`` it sets, and its
+text goes to ``config.apply_setting`` exactly as the same key from an INI
+file or a ``PCMXBAR_*`` variable does: one parser and one check per setting,
+and a bad value names the flag as typed.
+
 Exit codes: 0 success, 2 configuration or usage problem, 3 a learning run
 failed to recall within its epoch budget, 4 output could not be written.
 """
@@ -14,10 +20,8 @@ failed to recall within its epoch budget, 4 output could not be written.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from ._io import ensure_out_dir, write_json, write_map_csv
@@ -51,41 +55,21 @@ def _version_string() -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE", help="INI config file")
-    common.add_argument("--seed", help="root random seed")
-    common.add_argument("--out", metavar="DIR", help="output directory")
-    common.add_argument("--quiet", action="store_true", default=None,
-                        help="suppress progress output")
-
     parser = argparse.ArgumentParser(
         prog="pcmxbar",
         description="stochastic PCM crossbar simulator for associative learning",
-        parents=[common],
     )
     parser.add_argument("--version", action="version", version=_version_string())
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("characterize", parents=[common],
-                       help="single-cell cycling, spread, and staircase tables")
-    p.add_argument("--cycles", type=int, help="SET/RESET and staircase repetitions")
-    p.add_argument("--cv", type=float, help="resistance spread for the sampled cells")
-
-    p = sub.add_parser("learn", parents=[common],
-                       help="run the two-pattern protocol on one array")
-    p.add_argument("--cv", type=float, help="resistance spread (coefficient of variation)")
-    p.add_argument("--max-epochs", type=int, dest="max_epochs", help="epoch budget per pattern")
-
-    p = sub.add_parser("sweep", parents=[common],
-                       help="compare variation levels: fig6 trajectories and fig7 table")
-    p.add_argument("--cvs", help="comma-separated variation levels")
-    p.add_argument("--seeds", type=int, help="seeds per variation level")
-    p.add_argument("--trajectory-epochs", type=int, dest="trajectory_epochs",
-                   help="epochs recorded in each fig6 trajectory")
-
-    p = sub.add_parser("calibrate", parents=[common],
-                       help="fit the staircase schedule to the epoch targets")
-    p.add_argument("--seeds", type=int, help="seeds per candidate and variation level")
+    for name, (_, help_text, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", metavar="FILE", help="INI config file")
+        for flag, _, key, flag_help in _flags(name):
+            if key == "quiet":  # a switch: present means "true" to the [run] quiet parser
+                p.add_argument(flag, dest=key, action="store_const", const="true", help=flag_help)
+            else:  # dest is the config key, so name the value as argparse would from the flag
+                metavar = "DIR" if key == "out" else flag[2:].upper().replace("-", "_")
+                p.add_argument(flag, dest=key, metavar=metavar, help=flag_help)
     return parser
 
 
@@ -95,27 +79,10 @@ def _assemble_config(args) -> RunConfig:
     if file_path:
         apply_config_file(cfg, file_path)
     apply_env(cfg, os.environ)
-    if args.seed is not None:
-        apply_setting(cfg, "run", "seed", args.seed, "--seed")
-    if args.out is not None:
-        cfg.out = Path(args.out)
-    if args.quiet is not None:
-        cfg.quiet = args.quiet
-    if getattr(args, "cv", None) is not None:
-        cfg.cv = args.cv
-    if getattr(args, "cvs", None) is not None:
-        apply_setting(cfg, "variation", "cvs", args.cvs, "--cvs")
-    if getattr(args, "cycles", None) is not None:
-        cfg.cycles = args.cycles
-    if getattr(args, "seeds", None) is not None:
-        if args.command == "calibrate":
-            cfg.calib_seeds = args.seeds
-        else:
-            cfg.sweep_seeds = args.seeds
-    if getattr(args, "trajectory_epochs", None) is not None:
-        cfg.trajectory_epochs = args.trajectory_epochs
-    if getattr(args, "max_epochs", None) is not None:
-        cfg.network = dataclasses.replace(cfg.network, max_epochs=args.max_epochs)
+    for flag, section, key, _ in _flags(args.command):
+        raw = getattr(args, key)
+        if raw is not None:
+            apply_setting(cfg, section, key, raw, flag)
     return cfg
 
 
@@ -199,12 +166,37 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+# every subcommand takes --config and these
+_RUN_FLAGS = (
+    ("--seed", "run", "seed", "root random seed"),
+    ("--out", "run", "out", "output directory"),
+    ("--quiet", "run", "quiet", "suppress progress output"),
+)
+
+# subcommand -> (handler, help, flags), each flag row (flag, section, key, help)
 _COMMANDS = {
-    "characterize": cmd_characterize,
-    "learn": cmd_learn,
-    "sweep": cmd_sweep,
-    "calibrate": cmd_calibrate,
+    "characterize": (cmd_characterize, "single-cell cycling, spread, and staircase tables", (
+        ("--cycles", "run", "cycles", "SET/RESET and staircase repetitions"),
+        ("--cv", "variation", "cv", "resistance spread for the sampled cells"),
+    )),
+    "learn": (cmd_learn, "run the two-pattern protocol on one array", (
+        ("--cv", "variation", "cv", "resistance spread (coefficient of variation)"),
+        ("--max-epochs", "network", "max_epochs", "epoch budget per pattern"),
+    )),
+    "sweep": (cmd_sweep, "compare variation levels: fig6 trajectories and fig7 table", (
+        ("--cvs", "variation", "cvs", "comma-separated variation levels"),
+        ("--seeds", "run", "sweep_seeds", "seeds per variation level"),
+        ("--trajectory-epochs", "run", "trajectory_epochs",
+         "epochs recorded in each fig6 trajectory"),
+    )),
+    "calibrate": (cmd_calibrate, "fit the staircase schedule to the epoch targets", (
+        ("--seeds", "run", "calib_seeds", "seeds per candidate and variation level"),
+    )),
 }
+
+
+def _flags(command: str) -> tuple:
+    return _RUN_FLAGS + _COMMANDS[command][2]
 
 
 def main(argv=None) -> int:
@@ -215,7 +207,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _assemble_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (ConfigError, ParameterError, ProtocolError) as exc:
         print(f"pcmxbar: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -2,8 +2,11 @@
 
 Precedence, lowest to highest: built-in defaults (the calibrated setup),
 config file, ``PCMXBAR_*`` environment variables, command-line flags.
-Unknown sections or keys are rejected loudly; silently ignoring a typo in a
-config file is how wrong results get published.
+Every layer sets a ``[section] key`` through ``apply_setting``, so a value
+parses and validates the same way wherever it comes from; ``_SCHEMA`` is
+the one list of keys and their parsers. Unknown sections or keys are
+rejected loudly; silently ignoring a typo in a config file is how wrong
+results get published.
 
 Environment variables name the section and key: ``PCMXBAR_DEVICE_SIGMA_C2C``,
 ``PCMXBAR_NETWORK_MAX_EPOCHS``, ``PCMXBAR_RUN_SEED``. The bare shorthands
@@ -191,14 +194,10 @@ def config_render(cfg: RunConfig) -> str:
     lines += [f"{k} = {dev[k]!r}" for k in sorted(dev)]
     lines.append("[network]")
     lines += [f"{k} = {net[k]!r}" for k in sorted(net)]
-    lines.append("[variation]")
-    lines.append(f"cv = {cfg.cv!r}")
-    lines.append(f"cvs = {cfg.cvs!r}")
-    lines.append(f"device_share = {cfg.device_share!r}")
-    lines.append("[run]")
-    for k in ("seed", "out", "quiet", "cycles", "sweep_seeds", "calib_seeds", "trajectory_epochs"):
-        lines.append(f"{k} = {getattr(cfg, k)!r}")
-    return "\n".join(str(ln) for ln in lines) + "\n"
+    for section in ("variation", "run"):
+        lines.append(f"[{section}]")
+        lines += [f"{k} = {getattr(cfg, k)!r}" for k in _SCHEMA[section]]
+    return "\n".join(lines) + "\n"
 
 
 def config_hash(cfg: RunConfig) -> str:

@@ -50,7 +50,6 @@ class CrossbarState:
     variation: VariationSpec
     seed: int
     resistance: np.ndarray
-    device_factor: np.ndarray
     initial_resistance: np.ndarray = field(repr=False)
     pulses_applied: np.ndarray = field(repr=False)
 
@@ -66,15 +65,14 @@ def build_draws(seed: int, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarr
 
 
 def as_built_resistance(params: DeviceParams, sigma_device, sigma_cycle, z_dev, z_cyc):
-    """Device factors and the clamped as-built RESET map from the build draws.
+    """The clamped as-built RESET map from the build draws.
 
     Elementwise, so draws stacked on a leading seed axis give every array
     the values ``build_array`` gives it alone.
     """
-    factor = np.exp(sigma_device * z_dev)
-    resistance = params.r_reset_median * factor * np.exp(sigma_cycle * z_cyc)
+    resistance = params.r_reset_median * np.exp(sigma_device * z_dev) * np.exp(sigma_cycle * z_cyc)
     np.maximum(resistance, params.r_set_floor, out=resistance)
-    return factor, resistance
+    return resistance
 
 
 def build_array(
@@ -91,7 +89,7 @@ def build_array(
     """
     shape = (geometry.rows, geometry.cols)
     z_dev, z_cyc = build_draws(seed, shape)
-    factor, resistance = as_built_resistance(
+    resistance = as_built_resistance(
         params, variation.sigma_device, variation.sigma_cycle, z_dev, z_cyc
     )
     return CrossbarState(
@@ -100,7 +98,6 @@ def build_array(
         variation=variation,
         seed=seed,
         resistance=resistance,
-        device_factor=factor,
         initial_resistance=resistance.copy(),
         pulses_applied=np.zeros(shape, dtype=np.int64),
     )

@@ -16,6 +16,7 @@ exactly by re-seeding.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,6 @@ __all__ = [
     "apply_gradual_set",
     "apply_full_set",
     "apply_full_reset",
-    "read_current",
 ]
 
 
@@ -64,6 +64,10 @@ SET_PULSE = Pulse(amplitude_v=1.0, rise_s=50e-9, width_s=300e-9, fall_s=1e-6)
 RESET_PULSE = Pulse(amplitude_v=1.5, rise_s=5e-9, width_s=50e-9, fall_s=5e-9)
 GRADUAL_SET_PULSE = Pulse(amplitude_v=0.85, rise_s=50e-9, width_s=300e-9, fall_s=1e-6)
 
+# exp(x) overflows above this, so a lognormal's spread sqrt(exp(sigma**2) - 1)
+# overflows once sigma**2 passes it
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
 
 def lognormal_sigma(cv: float) -> float:
     """Log-space sigma giving a lognormal the requested coefficient of variation."""
@@ -87,6 +91,8 @@ class VariationSpec:
     def __post_init__(self):
         if not math.isfinite(self.cv) or self.cv < 0.0:
             raise ParameterError(f"cv must be finite and >= 0, got {self.cv}")
+        if not math.isfinite(lognormal_sigma(self.cv)):
+            raise ParameterError(f"cv {self.cv} is too large: its log-space sigma overflows")
         if not 0.0 <= self.device_share <= 1.0:
             raise ParameterError(f"device_share must be in [0, 1], got {self.device_share}")
 
@@ -139,6 +145,10 @@ class DeviceParams:
             raise ParameterError("gradual_levels must be >= 1")
         if not math.isfinite(self.sigma_c2c) or self.sigma_c2c < 0.0:
             raise ParameterError("sigma_c2c must be finite and >= 0")
+        if self.sigma_c2c * self.sigma_c2c >= _LOG_FLOAT_MAX:
+            raise ParameterError(
+                f"sigma_c2c {self.sigma_c2c} is too large: its lognormal spread overflows"
+            )
         if not math.isfinite(self.e_prog) or self.e_prog <= 0.0:
             raise ParameterError("e_prog must be finite and positive")
         if self.e_reset is not None and (not math.isfinite(self.e_reset) or self.e_reset <= 0.0):
@@ -272,11 +282,3 @@ def apply_full_reset(
         cell.initial_reset_resistance = cell.resistance
     cell.pulses_applied = 0
     return cell, params.reset_energy
-
-
-def read_current(cell: CellState, v_read: float) -> float:
-    """Ohmic read current at the given bias. Pure, no state change."""
-    if v_read < 0.0:
-        raise ParameterError(f"v_read must be >= 0, got {v_read}")
-    return v_read / cell.resistance
-

@@ -292,6 +292,7 @@ def sweep_figures(
 
     if not seed_range:
         raise ParameterError("sweep needs at least one seed")
+    traj_cfg = replace(network, max_epochs=trajectory_epochs)
     cohort = run_cohort(levels, seed_range, params, network, device_share=device_share)
     fig7 = out / "fig7.csv"
     write_sweep_csv(
@@ -300,7 +301,6 @@ def sweep_figures(
     )
     paths.append(fig7)
 
-    traj_cfg = replace(network, max_epochs=trajectory_epochs)
     representatives = {}
     for i, cv in enumerate(cohort.cvs):
         rep = representatives[cv] = _representative_seed(cohort, i)

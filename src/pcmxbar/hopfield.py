@@ -111,6 +111,8 @@ class NetworkConfig:
             raise ParameterError("max_epochs must be >= 1")
         if not math.isfinite(self.read_duration) or self.read_duration <= 0.0:
             raise ParameterError("read_duration must be finite and positive")
+        if not math.isfinite(self.v_read * self.v_read * self.read_duration):
+            raise ParameterError("v_read**2 * read_duration (the read energy scale) overflows")
 
 
 def compute_threshold(initial_resistance: np.ndarray, config: NetworkConfig):
@@ -154,7 +156,6 @@ class EpochResult:
     """Everything one training epoch produced."""
 
     epoch_index: int
-    programmed_cells: list[tuple[int, int]]
     program_event_count: int
     recall_currents: dict[int, float]
     fired: frozenset[int]
@@ -185,7 +186,6 @@ class LearningTrace:
     pattern: Pattern
     missing_pixel: int
     threshold: float
-    config: NetworkConfig
     variation_cv: float
     seed: int
     epochs: list[EpochResult]
@@ -261,7 +261,6 @@ def train_epoch(
     read_energy = _read_energy(array, partial.on, config)
     return EpochResult(
         epoch_index=epoch_index,
-        programmed_cells=cells,
         program_event_count=len(cells),
         recall_currents=currents,
         fired=fired,
@@ -321,7 +320,6 @@ def run_learning(
         pattern=pattern,
         missing_pixel=missing_pixel,
         threshold=threshold,
-        config=config,
         variation_cv=array.variation.cv,
         seed=array.seed,
         epochs=epochs,
@@ -395,7 +393,7 @@ def run_cohort(
         rows = slice(i * len(unique), (i + 1) * len(unique))
         resistance[rows] = as_built_resistance(
             params, v.sigma_device, v.sigma_cycle, z_dev, z_cyc
-        )[1]
+        )
         thresholds[rows] = compute_threshold(resistance[rows], config)
     del z_dev, z_cyc
     _check_patterns(geometry, pattern, partial, config)

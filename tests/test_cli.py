@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from pcmxbar import cli
 from pcmxbar.cli import main
-from pcmxbar.config import config_hash, default_run_config
+from pcmxbar.config import _SCHEMA, config_hash, config_render, default_run_config
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -202,6 +203,12 @@ BAD_INPUTS = [
     (("learn",), {"PCMXBAR_DEVICE_R_SET_FLOOR": "nan"}),
     (("learn",), {"PCMXBAR_DEVICE_SIGMA_C2C": "nan"}),
     (("learn",), {"PCMXBAR_DEVICE_DECAY_SCHEDULE": "0.2,nan"}),
+    # finite values whose square overflows
+    (("learn", "--cv", "1e200"), {}),
+    (("sweep", "--cvs", "1e200", "--seeds", "2"), {}),
+    (("learn",), {"PCMXBAR_NETWORK_V_READ": "1e200"}),
+    # a budget that is used only after fig7.csv is written
+    (("sweep", "--trajectory-epochs", "0", "--seeds", "2"), {}),
 ]
 
 
@@ -218,6 +225,117 @@ def test_bad_input_is_config_error(tmp_path, capsys, monkeypatch, argv, env):
     assert err.startswith("pcmxbar: ")
     assert "Traceback" not in err
     assert not list(out.glob("*.json")) and not list(out.glob("*.csv"))
+
+
+def _assembled(*argv):
+    return config_render(cli._assemble_config(cli._build_parser().parse_args(list(argv))))
+
+
+# a non-default value for each key a flag sets
+FLAG_VALUES = {
+    "seed": "5", "out": "elsewhere", "quiet": "true", "cycles": "3", "cv": "0.3",
+    "max_epochs": "7", "cvs": "0.4,0.2", "sweep_seeds": "4", "trajectory_epochs": "9",
+    "calib_seeds": "3",
+}
+FLAG_ROWS = [(command, row) for command in cli._COMMANDS for row in cli._flags(command)]
+
+
+@pytest.mark.parametrize(
+    "command,row", FLAG_ROWS, ids=[f"{command} {row[0]}" for command, row in FLAG_ROWS]
+)
+def test_flag_env_and_ini_set_the_same_config(tmp_path, monkeypatch, command, row):
+    flag, section, key, _ = row
+    value = FLAG_VALUES[key]
+    from_flag = _assembled(command, flag, *([] if key == "quiet" else [value]))
+    monkeypatch.setenv(f"PCMXBAR_{section.upper()}_{key.upper()}", value)
+    from_env = _assembled(command)
+    monkeypatch.delenv(f"PCMXBAR_{section.upper()}_{key.upper()}")
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{section}]\n{key} = {value}\n")
+    from_ini = _assembled(command, "--config", str(ini))
+    assert from_flag == from_env == from_ini
+    assert from_flag != _assembled(command)
+
+
+@pytest.mark.parametrize("argv", [("--seed", "5"), ("--out", "D"), ("--quiet",)])
+def test_flags_before_the_subcommand_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
+    # only the subcommand declares these, so a value given before it cannot
+    # be taken and then silently replaced by the subcommand's default
+    monkeypatch.chdir(tmp_path)
+    rc, stdout, _ = run(capsys, *argv, "learn")
+    assert rc == 2
+    assert stdout == ""
+    assert not list(tmp_path.iterdir())
+
+
+GRID_VALUES = ("nan", "inf", "-1", "0", "", "abc", "1e200")
+# a huge budget is slow, not invalid: characterize loops gradual_levels times
+BUDGET_VALUES = ("-1", "0", "1", "2", "", "abc", "nan", "1.5")
+BUDGET_KEYS = {"gradual_levels", "max_epochs", "recall_on_count", "cycles", "sweep_seeds",
+               "calib_seeds", "trajectory_epochs"}
+# the subcommands that read each key, kept small; learn reads every other key
+READERS = {"cycles": [("characterize",)], "cvs": [("sweep", "--seeds", "2")],
+           "trajectory_epochs": [("sweep", "--seeds", "2")], "sweep_seeds": [("sweep",)],
+           "calib_seeds": [("calibrate",)],
+           **{key: [("learn",), ("characterize",)] for key in _SCHEMA["device"]}}
+SMALL = {"sweep": ("--seeds", "2"), "calibrate": ("--seeds", "1")}
+
+
+def _grid_values(key):
+    if key == "out":
+        return GRID_VALUES  # joined onto tmp_path below
+    values = BUDGET_VALUES if key in BUDGET_KEYS else GRID_VALUES
+    return values + (str(2**64),) if key == "seed" else values
+
+
+def _grid_case(layer, argv, section, key, value):
+    return pytest.param(layer, argv, section, key, value,
+                        id=f"{layer} {' '.join(argv)} {section}.{key}={value!r}")
+
+
+GRID = [
+    _grid_case("env", argv, section, key, value)
+    for section, keys in _SCHEMA.items() for key in keys
+    for argv in READERS.get(key, [("learn",)]) for value in _grid_values(key)
+] + [
+    _grid_case("ini", ("learn",), section, key, value)
+    for section, key in (("device", "sigma_c2c"), ("variation", "cv"), ("network", "v_read"),
+                         ("run", "seed"))
+    for value in GRID_VALUES
+] + [
+    _grid_case("flag", (command, flag) + (() if flag == "--seeds" else SMALL.get(command, ())),
+               section, key, value)
+    for command in cli._COMMANDS
+    for flag, section, key, _ in cli._flags(command) for value in _grid_values(key)
+]
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy overflow is a bug, not output
+@pytest.mark.parametrize("layer,argv,section,key,value", GRID)
+def test_input_grid(tmp_path, capsys, monkeypatch, layer, argv, section, key, value):
+    monkeypatch.chdir(tmp_path)
+    if key == "out":
+        value = str(tmp_path / value)
+    if layer == "env":
+        monkeypatch.setenv(f"PCMXBAR_{section.upper()}_{key.upper()}", value)
+    elif layer == "ini":
+        (tmp_path / "run.ini").write_text(f"[{section}]\n{key} = {value}\n")
+        argv = (*argv, "--config", "run.ini")
+    else:
+        argv = (*argv[:2], value, *argv[2:])
+    rc, _, err = run(capsys, *argv)
+    assert rc in (0, 2, 3), err
+    assert "Traceback" not in err
+    if key != "out" and value in ("nan", "inf"):
+        assert rc == 2
+    for path in tmp_path.rglob("*.json"):
+        _strict_json(path.read_text())
 
 
 def test_sweep_rejects_cvs_sharing_a_file_tag(tmp_path, capsys):

@@ -39,7 +39,6 @@ def test_build_zero_cv_is_uniform():
     arr = build_array(ArrayGeometry(), DeviceParams(), ZERO_VAR, seed=1)
     assert np.all(arr.resistance == 3.0e6)
     assert np.all(arr.initial_resistance == 3.0e6)
-    assert np.all(arr.device_factor == 1.0)
     assert np.all(arr.pulses_applied == 0)
     assert arr.seed == 1
 
@@ -49,7 +48,7 @@ def test_build_deterministic_in_seed():
     b = build_array(ArrayGeometry(), DeviceParams(), VariationSpec(cv=0.60), seed=42)
     c = build_array(ArrayGeometry(), DeviceParams(), VariationSpec(cv=0.60), seed=43)
     assert np.array_equal(a.resistance, b.resistance)
-    assert np.array_equal(a.device_factor, b.device_factor)
+    assert np.array_equal(a.initial_resistance, b.initial_resistance)
     assert not np.array_equal(a.resistance, c.resistance)
 
 

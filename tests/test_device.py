@@ -20,7 +20,6 @@ from pcmxbar.device import (
     apply_gradual_set,
     gradual_step_fraction,
     lognormal_sigma,
-    read_current,
     sample_device_factor,
     sample_reset_resistance,
 )
@@ -118,6 +117,15 @@ def test_variation_spec_validation():
         VariationSpec(cv=-0.1)
     with pytest.raises(ParameterError):
         VariationSpec(cv=0.6, device_share=1.2)
+    with pytest.raises(ParameterError):  # finite, but cv * cv overflows
+        VariationSpec(cv=1e200)
+
+
+def test_sigma_c2c_whose_lognormal_spread_overflows_is_rejected():
+    assert DeviceParams(sigma_c2c=26.0).sigma_c2c == 26.0
+    for sigma in (27.0, 1e200):
+        with pytest.raises(ParameterError):
+            DeviceParams(sigma_c2c=sigma)
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -358,26 +366,3 @@ def test_binary_cycling_keeps_contrast():
         r_set = cell.resistance
         cell, _ = apply_full_reset(cell, params, var, rng)
         assert cell.resistance / r_set > 30.0
-
-
-# ---------------------------------------------------------------------------
-# reads and energy split
-
-
-def test_read_current_values():
-    assert read_current(fresh_cell(resistance=1.0e4), 0.1) == pytest.approx(
-        1.0e-5, rel=1e-12
-    )
-    assert read_current(fresh_cell(resistance=3.0e6), 0.1) == pytest.approx(
-        0.1 / 3.0e6, rel=1e-15
-    )
-    assert read_current(fresh_cell(), 0.0) == 0.0
-    with pytest.raises(ParameterError):
-        read_current(fresh_cell(), -0.1)
-
-
-def test_read_does_not_mutate():
-    cell = fresh_cell()
-    before = (cell.resistance, cell.pulses_applied)
-    read_current(cell, 0.1)
-    assert (cell.resistance, cell.pulses_applied) == before

@@ -79,6 +79,13 @@ def test_network_config_rejects_non_finite(field, value):
         NetworkConfig(**{field: value})
 
 
+def test_network_config_rejects_an_overflowing_read_energy_scale():
+    assert NetworkConfig(v_read=1e100).v_read == 1e100
+    for fields in ({"v_read": 1e200}, {"v_read": 1e5, "read_duration": 1e300}):
+        with pytest.raises(ParameterError):
+            NetworkConfig(**fields)
+
+
 def test_pattern_validation():
     with pytest.raises(ParameterError):
         Pattern(pixels=(1, 2, 0))
