@@ -14,12 +14,15 @@ file or a ``PCMXBAR_*`` variable does: one parser and one check per setting,
 and a bad value names the flag as typed.
 
 Exit codes: 0 success, 2 configuration or usage problem, 3 a learning run
-failed to recall within its epoch budget, 4 output could not be written.
+failed to recall within its epoch budget (for calibrate: no seed recalled at
+some cv), 4 output could not be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import os
 import sys
 
@@ -54,6 +57,7 @@ def _version_string() -> str:
     return f"pcmxbar {__version__} (default config {config_hash(default_run_config())})"
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcmxbar",
@@ -161,9 +165,16 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     write_json(path, result.to_dict(), provenance=_provenance(cfg))
     _say(cfg, f"wrote {path}")
     _say(cfg, f"best residual {result.residual} over {result.candidates_evaluated} candidates")
+    ok = True
     for cv in sorted(result.medians, reverse=True):
-        _say(cfg, f"  cv={cv:.2f}: median {result.medians[cv]} epochs")
-    return EXIT_OK
+        median = result.medians[cv]
+        if math.isinf(median):
+            ok = False
+            _say(cfg, f"  cv={cv:.2f}: no recall within {cfg.network.max_epochs} epochs "
+                      f"in any of {result.seeds} seeds")
+        else:
+            _say(cfg, f"  cv={cv:.2f}: median {median} epochs")
+    return EXIT_OK if ok else EXIT_NO_RECALL
 
 
 # every subcommand takes --config and these

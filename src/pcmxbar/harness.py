@@ -9,8 +9,10 @@ which ties the shipped 0.163 at residual 2.0.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -66,6 +68,12 @@ CALIBRATION_TARGETS = {0.60: 11, 0.40: 9, 0.24: 5, 0.09: 1}
 
 def params_fingerprint(params: DeviceParams, network: NetworkConfig) -> str:
     """Short stable hash of the physics and recall settings, for provenance lines."""
+    # keyed by repr as well: 0.0 == -0.0 and 1 == 1.0, but their JSON differs
+    return _fingerprint(repr((params, network)), params, network)
+
+
+@functools.lru_cache(maxsize=16)
+def _fingerprint(key: str, params: DeviceParams, network: NetworkConfig) -> str:
     blob = json.dumps({"device": asdict(params), "network": asdict(network)}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
@@ -163,16 +171,22 @@ class CalibrationResult:
     seeds: int
 
     def to_dict(self) -> dict:
+        """JSON form; a cv that never recalls has median (and so residual) null, not inf."""
         return {
             "decay_schedule": list(self.decay_schedule),
             "sigma_c2c": self.sigma_c2c,
             "device_share": self.device_share,
-            "medians": {f"{cv:.2f}": m for cv, m in sorted(self.medians.items(), reverse=True)},
+            "medians": {f"{cv:.2f}": _finite_or_none(m)
+                        for cv, m in sorted(self.medians.items(), reverse=True)},
             "targets": {f"{cv:.2f}": t for cv, t in sorted(CALIBRATION_TARGETS.items(), reverse=True)},
-            "residual": self.residual,
+            "residual": _finite_or_none(self.residual),
             "candidates_evaluated": self.candidates_evaluated,
             "seeds": self.seeds,
         }
+
+
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
 
 
 def _median_epochs(params, cvs, seeds, network) -> dict:

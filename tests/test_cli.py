@@ -32,6 +32,30 @@ def test_version_shows_config_hash(capsys):
     assert match.group(1) == config_hash(default_run_config())
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once per process, so no parse may leave state for
+    # the next: a plain learn after other commands writes what a fresh process does
+    assert main(["learn", "--cv", "0.3", "--seed", "5", "--quiet", "--out", str(tmp_path / "a")]) == 0
+    assert main(["sweep", "--seeds", "2", "--cvs", "0.6,0.09", "--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    assert main(["learn", "--out", str(tmp_path / "here")]) == 0
+    here = capsys.readouterr().out
+    assert main(["--version"]) == 0
+    assert "default config d2d8a8af8cb5" in capsys.readouterr().out
+    assert cli._build_parser.cache_info().misses == 1
+
+    fresh = subprocess.run(
+        [sys.executable, "-m", "pcmxbar", "learn", "--out", str(tmp_path / "fresh")],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120,
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout.replace(str(tmp_path / "fresh"), str(tmp_path / "here")) == here
+    names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "here").iterdir())
+    for name in names:
+        assert (tmp_path / "here" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
 def test_no_command_is_usage_error(capsys):
     rc, _, _ = run(capsys)
     assert rc == 2
@@ -123,6 +147,32 @@ def test_calibrate(tmp_path, capsys):
     assert "residual" in data
     assert set(data["medians"]) == {"0.60", "0.40", "0.24", "0.09"}
     assert "residual" in stdout
+
+
+# settings under which some cv never recalls: every cv, or all but cv 0.09
+NO_RECALL_CALIBRATIONS = [
+    {"PCMXBAR_NETWORK_C_FACTOR": "1e200"},
+    {"PCMXBAR_NETWORK_V_READ": "5e-324"},
+    {"PCMXBAR_NETWORK_MAX_EPOCHS": "2"},
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("env", NO_RECALL_CALIBRATIONS,
+                         ids=[" ".join(f"{k}={v}" for k, v in e.items())
+                              for e in NO_RECALL_CALIBRATIONS])
+def test_calibrate_reports_a_cv_that_never_recalls(tmp_path, capsys, monkeypatch, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "cal"
+    rc, stdout, err = run(capsys, "calibrate", "--seeds", "1", "--out", str(out))
+    assert rc == 3
+    assert err == ""
+    data = _strict_json((out / "calibration.json").read_text())
+    never = sorted(cv for cv, median in data["medians"].items() if median is None)
+    assert never
+    assert data["residual"] is None
+    assert sorted(re.findall(r"cv=([0-9.]+): no recall within", stdout)) == never
 
 
 def test_config_file_env_flag_precedence(tmp_path, capsys, monkeypatch):

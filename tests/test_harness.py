@@ -21,6 +21,7 @@ from pcmxbar.harness import (
     CALIBRATION_TARGETS,
     calibrate_epochs,
     characterize_device,
+    params_fingerprint,
     reproduce_figures,
     sweep_figures,
 )
@@ -223,6 +224,20 @@ def test_calibrate_epochs_prefers_shipped_schedule():
     )
     assert again.residual == result.residual
     assert again.decay_schedule == result.decay_schedule
+
+
+def test_params_fingerprint_tells_equal_but_distinct_values_apart():
+    # each pair compares equal, but its JSON, and so its hash, differs; a
+    # fingerprint memo keyed by == alone would hand the second the first's hash
+    net = NetworkConfig()
+    for a, b in ((DeviceParams(sigma_c2c=0.0), DeviceParams(sigma_c2c=-0.0)),
+                 (DeviceParams(r_set_floor=10000), DeviceParams(r_set_floor=10000.0))):
+        assert a == b
+        assert params_fingerprint(a, net) != params_fingerprint(b, net)
+        assert params_fingerprint(a, net) == params_fingerprint(a, net)
+    assert params_fingerprint(DeviceParams(), NetworkConfig(v_read=0.0)) != params_fingerprint(
+        DeviceParams(), NetworkConfig(v_read=-0.0)
+    )
 
 
 # ---------------------------------------------------------------------------
