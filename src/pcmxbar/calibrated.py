@@ -16,10 +16,19 @@ tiny bracket rungs, one mid jump, then a uniform tail:
 
 One integer seed keys three independent streams: ``(seed, 0)`` builds the
 array, ``(seed, 1)`` drives training, ``(seed, 2)`` drives single-cell
-characterization.
+characterization. Epoch k of a run draws from the training root's k-th
+spawned child, ``SeedSequence((seed, 1), spawn_key=(k - 1,))``.
+
+Single runs derive their streams through ``SeedSequence``. Cohorts hash the
+same seed words for many seeds and spawn indices at once with
+``stream_words``, which reproduces NumPy's ``SeedSequence`` mixing (NEP 19)
+on ``uint32`` arrays, and seed each ``PCG64`` from them with
+``word_generator``; the draws are the same bit for bit.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -41,6 +50,8 @@ __all__ = [
     "build_stream",
     "training_stream",
     "characterization_stream",
+    "stream_words",
+    "word_generator",
 ]
 
 # staircase-shape constants shared by the shipped schedule and the calibrator
@@ -91,9 +102,9 @@ def calibrated_variation(cv: float) -> VariationSpec:
 BUILD, TRAINING, CHARACTERIZATION = 0, 1, 2
 
 
-def seed_sequence(seed: int, stream: int) -> np.random.SeedSequence:
-    """Root ``SeedSequence`` of one stream of ``seed``."""
-    return np.random.SeedSequence((seed, stream))
+def seed_sequence(seed: int, stream: int, spawn_key=()) -> np.random.SeedSequence:
+    """Root ``SeedSequence`` of one stream of ``seed``, or its child at ``spawn_key``."""
+    return np.random.SeedSequence((seed, stream), spawn_key=spawn_key)
 
 
 def build_stream(seed: int) -> np.random.Generator:
@@ -108,3 +119,103 @@ def training_stream(seed: int) -> np.random.Generator:
 
 def characterization_stream(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed_sequence(seed, CHARACTERIZATION))
+
+
+# SeedSequence's 32-bit hash (NEP 19), with NumPy's constants: the hash
+# constant advances by one multiply per word hashed, so its whole sequence is
+# fixed and precomputed
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = 0xCA01F9DD, 0x4973F715, 16
+_POOL = 4
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """Row 0: the constant each step xors in; row 1: the one it multiplies by."""
+    steps = [init]
+    for _ in range(n):
+        steps.append(steps[-1] * mult & _MASK32)
+    return np.array([steps[:-1], steps[1:]], dtype=np.uint32)
+
+
+# entropy mixing: 4 pool words, 12 cross-mixes, then 4 for one spawn-key word;
+# the state: 8 uint32 words, two per uint64
+_ENTROPY_HASH = _hash_constants(_INIT_A, _MULT_A, _POOL**2 + _POOL)
+_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+
+
+def _hashmix(value, const):
+    value = (value ^ const[0]) * const[1]
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x, y):
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _pcg64_words(pool: np.ndarray) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of pools held lane-first, words on the last axis."""
+    const = _STATE_HASH.reshape(2, 2, _POOL, *[1] * (pool.ndim - 1))
+    state = _hashmix(pool, const).reshape(2 * _POOL, *pool.shape[1:]).astype(np.uint64)
+    # copied so every row of four words is contiguous, as word_generator needs
+    return np.moveaxis(state[0::2] | state[1::2] << 32, 0, -1).copy()
+
+
+def stream_words(seeds, stream: int, spawn_keys=()) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64 seed words of each seed's ``stream`` children and root, for many seeds at once.
+
+    Returns ``(children, roots)``: ``children[i, j]`` is
+    ``SeedSequence((seeds[i], stream), spawn_key=(spawn_keys[j],)).generate_state(4,
+    np.uint64)`` and ``roots[i]`` the same without the spawn key. A child
+    differs from its root only in the last four hash steps, so each seed's
+    pool is mixed once for all its keys. Seeds (or keys) of 2**32 and above
+    take more than one entropy word and go through ``SeedSequence`` itself.
+    """
+    seeds = [int(s) for s in seeds]
+    keys = [int(k) for k in spawn_keys]
+    if any(s < 0 for s in seeds):
+        raise ParameterError("seeds must be >= 0")
+    entropy = np.zeros((_POOL, len(seeds)), dtype=np.uint32)
+    entropy[0], entropy[1] = [s & _MASK32 for s in seeds], stream
+    pool = _hashmix(entropy, _ENTROPY_HASH[:, :_POOL, None])
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        const = _ENTROPY_HASH[:, _POOL + 3 * src : _POOL + 3 * src + 3, None]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], const))
+    key = np.array([k & _MASK32 for k in keys], dtype=np.uint32)
+    key = _hashmix(key, _ENTROPY_HASH[:, -_POOL:, None])
+    children = _pcg64_words(_mix(pool[:, :, None], key[:, None, :]))
+    roots = _pcg64_words(pool)
+    wide_keys = max(keys, default=0) > _MASK32
+    for i, s in enumerate(seeds):
+        if s > _MASK32 or wide_keys:
+            roots[i] = seed_sequence(s, stream).generate_state(4, np.uint64)
+            for j, k in enumerate(keys):
+                children[i, j] = seed_sequence(s, stream, (k,)).generate_state(4, np.uint64)
+    return children, roots
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """An ``ISeedSequence`` that hands PCG64 precomputed state words.
+
+    Built on first use: ``np.random`` loads lazily, and importing the
+    package should not load it.
+    """
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
+
+
+def word_generator(words: np.ndarray) -> np.random.Generator:
+    """The generator ``default_rng`` builds from the seed sequence whose state is ``words``."""
+    # PCG64 reads the four words through their data pointer, ignoring strides
+    words = np.ascontiguousarray(words, dtype=np.uint64)
+    return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))

@@ -54,13 +54,12 @@ class CrossbarState:
     pulses_applied: np.ndarray = field(repr=False)
 
 
-def build_draws(seed: int, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The build stream's normal draws for one array: device block, then cycle block.
+def build_draws(rng: np.random.Generator, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """A build stream's normal draws for one array: device block, then cycle block.
 
-    They depend only on ``seed`` and ``shape``, never on the variation level,
-    so one pair serves the same seed's array at every cv.
+    They depend only on the stream and ``shape``, never on the variation
+    level, so one pair serves the same seed's array at every cv.
     """
-    rng = build_stream(seed)
     return rng.standard_normal(shape), rng.standard_normal(shape)
 
 
@@ -88,7 +87,7 @@ def build_array(
     draws, both in row-major cell order.
     """
     shape = (geometry.rows, geometry.cols)
-    z_dev, z_cyc = build_draws(seed, shape)
+    z_dev, z_cyc = build_draws(build_stream(seed), shape)
     resistance = as_built_resistance(
         params, variation.sigma_device, variation.sigma_cycle, z_dev, z_cyc
     )

@@ -136,6 +136,10 @@ class DeviceParams:
     def __post_init__(self):
         if not math.isfinite(self.r_set_floor) or self.r_set_floor <= 0.0:
             raise ParameterError("r_set_floor must be finite and positive")
+        if not math.isfinite(1.0 / self.r_set_floor):
+            raise ParameterError(
+                f"r_set_floor {self.r_set_floor} is too small: its conductance overflows"
+            )
         if not math.isfinite(self.r_reset_median) or self.r_reset_median <= self.r_set_floor:
             raise ParameterError(
                 f"r_reset_median ({self.r_reset_median}) must exceed "

@@ -166,6 +166,7 @@ class CalibrationResult:
     sigma_c2c: float
     device_share: float
     medians: dict
+    targets: dict
     residual: float
     candidates_evaluated: int
     seeds: int
@@ -178,7 +179,7 @@ class CalibrationResult:
             "device_share": self.device_share,
             "medians": {f"{cv:.2f}": _finite_or_none(m)
                         for cv, m in sorted(self.medians.items(), reverse=True)},
-            "targets": {f"{cv:.2f}": t for cv, t in sorted(CALIBRATION_TARGETS.items(), reverse=True)},
+            "targets": {f"{cv:.2f}": t for cv, t in sorted(self.targets.items(), reverse=True)},
             "residual": _finite_or_none(self.residual),
             "candidates_evaluated": self.candidates_evaluated,
             "seeds": self.seeds,
@@ -240,6 +241,7 @@ def calibrate_epochs(
         sigma_c2c=params.sigma_c2c,
         device_share=CALIBRATED_DEVICE_SHARE,
         medians=medians,
+        targets=targets,
         residual=residual,
         candidates_evaluated=evaluated,
         seeds=seeds,

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .calibrated import CALIBRATED_DEVICE_SHARE, TRAINING, seed_sequence
+from .calibrated import BUILD, CALIBRATED_DEVICE_SHARE, TRAINING, stream_words, word_generator
 from .crossbar import (
     ArrayGeometry,
     CrossbarState,
@@ -350,6 +350,10 @@ class CohortOutcome:
     total_energy: np.ndarray
 
 
+# training epochs whose child words run_cohort hashes at a time
+_EPOCH_BLOCK = 16
+
+
 def run_cohort(
     cvs,
     seeds,
@@ -368,11 +372,14 @@ def run_cohort(
     stream, bit for bit, but records no per-epoch trace.
     A seed's build draws do not depend on the cv, and its epoch-k training
     child depends only on the seed and k, so each seed draws once for all
-    cvs: one root per seed spawns its child while any of its cvs still
-    trains. Every epoch updates, reads and threshold-tests all active arrays
-    in one stack of shape ``(runs, rows, cols)``, with the scalar path's
-    elementwise operations in the scalar path's order. Repeated seeds are
-    simulated once. Bad patterns raise the same errors as ``run_learning``.
+    cvs. Its build root and, while any of its cvs still trains, its epoch
+    children are seeded from words that ``stream_words`` hashes for many seeds
+    at once: the build roots up front, the children in blocks of
+    ``_EPOCH_BLOCK`` epochs for the seeds still training, so memory does not
+    grow with ``max_epochs``. Every epoch updates, reads and threshold-tests
+    all active arrays in one stack of shape ``(runs, rows, cols)``, with the
+    scalar path's elementwise operations in the scalar path's order. Repeated
+    seeds are simulated once. Bad patterns raise the same errors as ``run_learning``.
     """
     geometry = geometry or ArrayGeometry()
     variations = [VariationSpec(cv=float(cv), device_share=device_share) for cv in cvs]
@@ -384,8 +391,8 @@ def run_cohort(
     unique = sorted(set(seeds))
     shape = (geometry.rows, geometry.cols)
     z_dev, z_cyc = np.empty((2, len(unique), *shape))
-    for u, seed in enumerate(unique):
-        z_dev[u], z_cyc[u] = build_draws(seed, shape)
+    for u, words in enumerate(stream_words(unique, BUILD)[1]):
+        z_dev[u], z_cyc[u] = build_draws(word_generator(words), shape)
     # run r is cv r // len(unique) on seed unique[r % len(unique)]
     resistance = np.empty((len(variations) * len(unique), *shape))
     thresholds = np.empty(len(resistance))
@@ -404,7 +411,6 @@ def run_cohort(
     read_block = (np.array(cue, dtype=np.intp) - 1, np.array(sensed, dtype=np.intp) - 1)
     missing = sensed.index(missing_pixel)
     read_cost = config.v_read**2 * config.read_duration
-    roots = [seed_sequence(seed, TRAINING) for seed in unique]
 
     epochs = np.zeros(len(resistance), dtype=np.int64)
     converged = np.zeros(len(resistance), dtype=bool)
@@ -413,12 +419,17 @@ def run_cohort(
     for epoch in range(1, config.max_epochs + 1):
         if not active.size:
             break
-        # one child per seed still training; Generator(PCG64(.)) is what
-        # Generator.spawn builds from the spawned SeedSequence
+        # one child per seed still training: spawn index epoch - 1 of its root
         seed_index = active % len(unique)
         live = np.unique(seed_index)
-        children = [np.random.Generator(np.random.PCG64(roots[u].spawn(1)[0])) for u in live]
-        z = np.array([child.standard_normal(on.size**2) for child in children])
+        offset = (epoch - 1) % _EPOCH_BLOCK
+        if offset == 0:
+            block_seeds = live
+            block_words = stream_words(
+                [unique[u] for u in live], TRAINING, range(epoch - 1, epoch - 1 + _EPOCH_BLOCK)
+            )[0]
+        words = block_words[np.searchsorted(block_seeds, live), offset]
+        z = np.array([word_generator(w).standard_normal(on.size**2) for w in words])
         # on a fresh array every stored cell has taken epoch - 1 pulses
         gain = np.exp(-decay_log_steps(params, epoch - 1) + params.sigma_c2c * z)
         gain = gain[np.searchsorted(live, seed_index)].reshape(-1, on.size, on.size)

@@ -388,6 +388,19 @@ def test_input_grid(tmp_path, capsys, monkeypatch, layer, argv, section, key, va
         _strict_json(path.read_text())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("floor", ["1e-310", "5e-324"])
+def test_subnormal_set_floor_is_a_config_error(tmp_path, capsys, monkeypatch, floor):
+    # finite and positive, but a cell at the floor conducts 1 / floor = inf
+    monkeypatch.setenv("PCMXBAR_DEVICE_R_SET_FLOOR", floor)
+    rc, stdout, err = run(capsys, "learn", "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert "Traceback" not in err
+    assert "r_set_floor" in err
+    assert stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_rejects_cvs_sharing_a_file_tag(tmp_path, capsys):
     out = tmp_path / "clash"
     rc, stdout, err = run(

@@ -91,6 +91,9 @@ def test_device_params_validation():
         DeviceParams(pcm_energy_fraction=1.5)
     with pytest.raises(ParameterError):
         DeviceParams(decay_schedule=(0.1, 0.0))
+    for floor in (1e-310, 5e-324):  # finite and positive, but 1 / floor overflows
+        with pytest.raises(ParameterError, match="conductance"):
+            DeviceParams(r_set_floor=floor)
     p = DeviceParams(e_reset=5.0e-10)
     assert p.reset_energy == 5.0e-10
 

@@ -13,7 +13,9 @@ from pcmxbar.calibrated import (
     build_decay_schedule,
     calibrated_device_params,
     calibrated_variation,
+    stream_words,
     training_stream,
+    word_generator,
 )
 from pcmxbar.device import DeviceParams, VariationSpec
 from pcmxbar.errors import ParameterError
@@ -120,6 +122,46 @@ def test_training_stream_keying():
     assert np.array_equal(training_stream(9).standard_normal(3), direct)
 
 
+@pytest.mark.parametrize("stream", [0, 1])
+def test_stream_words_match_seed_sequence(stream):
+    # one entropy word below 2**32; the wider seeds take the SeedSequence fallback
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64]
+    keys = range(201)
+    children, roots = stream_words(seeds, stream, keys)
+    assert children.shape == (len(seeds), len(keys), 4)
+    assert roots.shape == (len(seeds), 4)
+    for i, seed in enumerate(seeds):
+        root = np.random.SeedSequence((seed, stream))
+        assert np.array_equal(roots[i], root.generate_state(4, np.uint64))
+        for j, k in enumerate(keys):
+            child = np.random.SeedSequence((seed, stream), spawn_key=(k,))
+            assert np.array_equal(children[i, j], child.generate_state(4, np.uint64))
+
+
+def test_word_generator_replays_the_spawned_child():
+    children, roots = stream_words([9, 2**32], 1, [0, 4])
+    for i, seed in enumerate([9, 2**32]):
+        spawned = training_stream(seed).spawn(5)
+        for j, k in enumerate([0, 4]):
+            assert np.array_equal(
+                word_generator(children[i, j]).standard_normal(25),
+                spawned[k].standard_normal(25),
+            )
+        assert np.array_equal(
+            word_generator(roots[i]).standard_normal(25), training_stream(seed).standard_normal(25)
+        )
+    strided = np.zeros((4, 2), dtype=np.uint64)
+    strided[:, 0] = roots[0]
+    assert np.array_equal(
+        word_generator(strided[:, 0]).standard_normal(25), training_stream(9).standard_normal(25)
+    )
+
+
+def test_stream_words_reject_negative_seeds():
+    with pytest.raises(ParameterError):
+        stream_words([3, -1], 1, range(2))
+
+
 # ---------------------------------------------------------------------------
 # device characterization
 
@@ -224,6 +266,16 @@ def test_calibrate_epochs_prefers_shipped_schedule():
     )
     assert again.residual == result.residual
     assert again.decay_schedule == result.decay_schedule
+
+
+def test_calibration_records_the_targets_it_scored():
+    result = calibrate_epochs(
+        {0.60: 5}, seeds=2, first_fraction_grid=(0.163,), tail_fraction_grid=(0.0114,)
+    )
+    d = result.to_dict()
+    assert d["targets"] == {"0.60": 5}
+    assert d["medians"] == {"0.60": 9.0}
+    assert d["residual"] == 4.0
 
 
 def test_params_fingerprint_tells_equal_but_distinct_values_apart():

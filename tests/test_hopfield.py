@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,7 +338,11 @@ def test_trace_serializes_to_json():
 
 @settings(max_examples=100, deadline=None)
 @given(
-    seeds=st.lists(st.integers(min_value=0, max_value=2**20), min_size=1, max_size=5),
+    seeds=st.lists(
+        st.integers(min_value=0, max_value=2**20) | st.sampled_from((2**32 - 1, 2**32, 2**64)),
+        min_size=1,
+        max_size=5,
+    ),
     cvs=st.lists(
         st.sampled_from((0.0, 0.09, 0.24, 0.40, 0.60))
         | st.floats(min_value=0.0, max_value=1.5, allow_nan=False),
@@ -355,6 +360,16 @@ def test_trace_serializes_to_json():
     seeds=[4, 0, 4],
     cvs=[0.60, 0.0, 0.60],
     max_epochs=3,
+    c_factor=2.0,
+    sigma_c2c=0.03,
+    device_share=0.8,
+    schedule=CALIBRATED_DECAY_SCHEDULE,
+    stored=(PATTERN_ONE, MISSING_PIXEL_ONE),
+)
+@example(  # one cohort on each side of 2**32, where the stream words fall back
+    seeds=[2**32 - 1, 2**32, 7, 2**64],
+    cvs=[0.60, 0.09],
+    max_epochs=20,
     c_factor=2.0,
     sigma_c2c=0.03,
     device_share=0.8,
@@ -386,6 +401,24 @@ def test_run_cohort_matches_run_learning(
             maps.append(arr.initial_resistance)
             thresholds.append(trace.threshold)
     assert compute_threshold(np.array(maps), cfg).tolist() == thresholds
+
+
+def test_run_cohort_memory_does_not_grow_with_the_budget():
+    # the child words are hashed in blocks, for live seeds only, so a budget
+    # of 10**9 epochs costs no more than one of 100 when every run recalls early
+    params = DeviceParams(sigma_c2c=0.03, decay_schedule=CALIBRATED_DECAY_SCHEDULE)
+    short = run_cohort((0.09,), (0, 1, 2), params, NetworkConfig(max_epochs=100))
+    tracemalloc.start()
+    try:
+        long = run_cohort((0.09,), (0, 1, 2), params, NetworkConfig(max_epochs=10**9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert short.epochs.tolist() == long.epochs.tolist() == [[1, 1, 1]]
+    assert short.converged.all() and long.converged.all()
+    assert np.array_equal(short.read_energy, long.read_energy)
+    assert np.array_equal(short.total_energy, long.total_energy)
+    assert peak < 2 * 2**20
 
 
 def test_threshold_stack_shape_and_type():
