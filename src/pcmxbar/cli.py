@@ -39,12 +39,7 @@ from .config import (
 )
 from .crossbar import ArrayGeometry, build_array, resistance_map
 from .errors import ConfigError, OutputError, ParameterError, ProtocolError
-from .harness import (
-    calibrate_epochs,
-    characterize_device,
-    params_fingerprint,
-    sweep_figures,
-)
+from .harness import calibrate_epochs, characterize_device, provenance_header, sweep_figures
 from .hopfield import run_two_pattern_protocol
 
 EXIT_OK = 0
@@ -95,14 +90,6 @@ def _say(cfg: RunConfig, message: str) -> None:
         print(message)
 
 
-def _provenance(cfg: RunConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "version": __version__,
-        "params_hash": params_fingerprint(cfg.device, cfg.network),
-    }
-
-
 def cmd_characterize(cfg: RunConfig) -> int:
     out = ensure_out_dir(cfg.out)
     tables = characterize_device(
@@ -117,7 +104,7 @@ def cmd_learn(cfg: RunConfig) -> int:
     out = ensure_out_dir(cfg.out)
     arr = build_array(ArrayGeometry(), cfg.device, cfg.variation(), cfg.seed)
     first, second = run_two_pattern_protocol(arr, cfg.network, training_stream(cfg.seed))
-    prov = {**_provenance(cfg), "cv": f"{cfg.cv:.2f}"}
+    prov = {**provenance_header(cfg.seed, cfg.device, cfg.network), "cv": f"{cfg.cv:.2f}"}
 
     for tag, trace in (("1", first), ("2", second)):
         path = out / f"trace{tag}.json"
@@ -162,7 +149,8 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     out = ensure_out_dir(cfg.out)
     result = calibrate_epochs(seeds=cfg.calib_seeds, network=cfg.network)
     path = out / "calibration.json"
-    write_json(path, result.to_dict(), provenance=_provenance(cfg))
+    write_json(path, result.to_dict(),
+               provenance=provenance_header(cfg.seed, cfg.device, cfg.network))
     _say(cfg, f"wrote {path}")
     _say(cfg, f"best residual {result.residual} over {result.candidates_evaluated} candidates")
     ok = True

@@ -232,8 +232,10 @@ def decay_log_steps(params: DeviceParams, pulses_applied: np.ndarray) -> np.ndar
     """Vectorized log-space step sizes for cells with the given pulse counts.
 
     ``pulses_applied`` holds pulses already seen, so cell i is about to take
-    pulse ``pulses_applied[i] + 1``. Shared by the scalar cell op and the
-    array update kernel so both walk the identical staircase.
+    pulse ``pulses_applied[i] + 1``. Used by the array update kernel and the
+    cohort engine; the scalar cell op ``apply_gradual_set`` takes its step
+    from ``gradual_step_fraction`` instead, and a test pins the two to the
+    identical staircase.
     """
     if params.decay_schedule is None:
         sched = np.full(params.gradual_levels, 1.0 / params.gradual_levels)

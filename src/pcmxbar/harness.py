@@ -56,6 +56,7 @@ from .metrics import sweep_rows, write_sweep_csv
 __all__ = [
     "CALIBRATION_TARGETS",
     "params_fingerprint",
+    "provenance_header",
     "characterize_device",
     "CalibrationResult",
     "calibrate_epochs",
@@ -76,6 +77,15 @@ def params_fingerprint(params: DeviceParams, network: NetworkConfig) -> str:
 def _fingerprint(key: str, params: DeviceParams, network: NetworkConfig) -> str:
     blob = json.dumps({"device": asdict(params), "network": asdict(network)}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def provenance_header(seed: int, params: DeviceParams, network: NetworkConfig) -> dict:
+    """The ``seed``, ``version`` and ``params_hash`` lines every output file opens with."""
+    return {
+        "seed": seed,
+        "version": __version__,
+        "params_hash": params_fingerprint(params, network),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +150,7 @@ def characterize_device(
     }
     if out_dir is not None:
         out = ensure_out_dir(out_dir)
-        prov = {
-            "seed": seed,
-            "version": __version__,
-            "params_hash": params_fingerprint(params, network or NetworkConfig()),
-        }
+        prov = provenance_header(seed, params, network or NetworkConfig())
         write_csv(out / "fig2b.csv", ("cycle", "operation", "resistance_ohms"),
                   cycling, provenance=prov)
         write_csv(out / "fig2c.csv", ("cell", "reset_ohms", "set_ohms"),
@@ -190,17 +196,6 @@ def _finite_or_none(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def _median_epochs(params, cvs, seeds, network) -> dict:
-    """Median epochs-to-recall per cv over seeds 0..seeds-1, inf when none recalls."""
-    cohort = run_cohort(
-        cvs, range(seeds), params, network, device_share=CALIBRATED_DEVICE_SHARE
-    )
-    return {
-        cv: float(np.median(epochs[done])) if done.any() else float("inf")
-        for cv, epochs, done in zip(cvs, cohort.epochs, cohort.converged)
-    }
-
-
 def calibrate_epochs(
     targets: dict | None = None,
     *,
@@ -229,7 +224,13 @@ def calibrate_epochs(
                 params = DeviceParams(
                     sigma_c2c=sigma, decay_schedule=build_decay_schedule(first, tail)
                 )
-                medians = _median_epochs(params, list(targets), seeds, network)
+                cohort = run_cohort(targets, range(seeds), params, network,
+                                    device_share=CALIBRATED_DEVICE_SHARE)
+                # a cv where no seed recalls has no median; it scores inf
+                medians = {
+                    cv: math.inf if row["median_epochs"] is None else row["median_epochs"]
+                    for cv, row in zip(targets, sweep_rows(cohort))
+                }
                 residual = sum(abs(medians[cv] - targets[cv]) for cv in targets)
                 evaluated += 1
                 if best is None or residual < best[0]:
@@ -277,7 +278,6 @@ def sweep_figures(
     sweep_seeds: int = 50,
     trajectory_epochs: int = 30,
     device_share: float = CALIBRATED_DEVICE_SHARE,
-    provenance: dict | None = None,
 ) -> tuple[list[Path], dict[float, int]]:
     """The variation comparison: fig7.csv plus one fig6 trajectory per level.
 
@@ -286,6 +286,9 @@ def sweep_figures(
     typical seed (epoch count closest to the median, picked from the same
     cohort outcomes) past recall for ``trajectory_epochs`` epochs and
     tabulates the missing pixel's current against both threshold choices.
+    Each file opens with the ``provenance_header`` of ``seed``, ``params``
+    and ``network``, plus the seed range (fig7) or the cv tag and
+    representative seed (fig6).
     Returns the written paths and the representative seed of each cv.
     Raises ConfigError, before writing anything, when two distinct cvs
     round to the same two-decimal file tag.
@@ -297,12 +300,7 @@ def sweep_figures(
     out = ensure_out_dir(out_dir)
     params = params or calibrated_device_params()
     network = network or NetworkConfig()
-    base_prov = {
-        "seed": seed,
-        "version": __version__,
-        "params_hash": params_fingerprint(params, network),
-        **(provenance or {}),
-    }
+    base_prov = provenance_header(seed, params, network)
     seed_range = range(seed, seed + sweep_seeds)
     paths: list[Path] = []
 
@@ -367,11 +365,7 @@ def reproduce_figures(
     out = ensure_out_dir(out_dir)
     params = calibrated_device_params()
     network = NetworkConfig()
-    prov = {
-        "seed": seed,
-        "version": __version__,
-        "params_hash": params_fingerprint(params, network),
-    }
+    prov = provenance_header(seed, params, network)
     paths: list[Path] = []
 
     tables = characterize_device(

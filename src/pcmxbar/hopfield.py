@@ -294,6 +294,7 @@ def run_learning(
     if missing_pixel not in pattern.on:
         raise ProtocolError(f"missing pixel {missing_pixel} is not part of the pattern")
     partial = Pattern.from_on(pattern.on - {missing_pixel}, pattern.n)
+    _check_patterns(array.geometry, pattern, partial, config)
     if threshold is None:
         threshold = compute_threshold(array.initial_resistance, config)
     maps = [resistance_map(array)] if record_maps else []
@@ -379,7 +380,8 @@ def run_cohort(
     grow with ``max_epochs``. Every epoch updates, reads and threshold-tests
     all active arrays in one stack of shape ``(runs, rows, cols)``, with the
     scalar path's elementwise operations in the scalar path's order. Repeated
-    seeds are simulated once. Bad patterns raise the same errors as ``run_learning``.
+    seeds are simulated once. Bad patterns raise the same errors as
+    ``run_learning``, before any stream is hashed or any array is built.
     """
     geometry = geometry or ArrayGeometry()
     variations = [VariationSpec(cv=float(cv), device_share=device_share) for cv in cvs]
@@ -387,6 +389,7 @@ def run_cohort(
     if missing_pixel not in pattern.on:
         raise ProtocolError(f"missing pixel {missing_pixel} is not part of the pattern")
     partial = Pattern.from_on(pattern.on - {missing_pixel}, pattern.n)
+    _check_patterns(geometry, pattern, partial, config)
 
     unique = sorted(set(seeds))
     shape = (geometry.rows, geometry.cols)
@@ -403,7 +406,6 @@ def run_cohort(
         )
         thresholds[rows] = compute_threshold(resistance[rows], config)
     del z_dev, z_cyc
-    _check_patterns(geometry, pattern, partial, config)
 
     on = np.array(sorted(pattern.on), dtype=np.intp) - 1
     cue = sorted(partial.on)

@@ -24,7 +24,6 @@ from .hopfield import (
     PATTERN_ONE,
     CohortOutcome,
     NetworkConfig,
-    Pattern,
     run_cohort,
     run_learning,
 )
@@ -90,13 +89,11 @@ def read_voltage_sensitivity(
     seed: int,
     *,
     grid: tuple[float, ...] = DEFAULT_PERTURBATION_GRID,
-    geometry: ArrayGeometry | None = None,
-    pattern: Pattern = PATTERN_ONE,
-    missing_pixel: int = MISSING_PIXEL_ONE,
 ) -> SensitivityResult:
     """Scan bias perturbations for the smallest one that changes the outcome.
 
-    Builds the array for ``seed``, trains up to the recall epoch ``b``, and
+    Builds the default 10x10 array for ``seed``, trains pattern one with
+    its missing pixel as the target up to the recall epoch ``b``, and
     replays the recorded current trajectory scaled by (1 +/- delta) against
     the unchanged threshold ``T``. A raised bias crosses by ``b`` at the
     latest, since ``(1+d)*I_b >= I_b > T`` under IEEE rounding, and a
@@ -111,16 +108,16 @@ def read_voltage_sensitivity(
         if not 0.0 < d < 1.0 or d <= last:
             raise ParameterError("perturbation grid must be ascending within (0, 1)")
         last = d
-    arr = build_array(geometry or ArrayGeometry(), params, variation, seed)
+    arr = build_array(ArrayGeometry(), params, variation, seed)
     trace = run_learning(
-        arr, pattern, missing_pixel, network, training_stream(seed), record_maps=False
+        arr, PATTERN_ONE, MISSING_PIXEL_ONE, network, training_stream(seed), record_maps=False
     )
     if not trace.converged:
         raise ProtocolError(
             f"baseline run (cv={variation.cv}, seed={seed}) never recalled; "
             "sensitivity is undefined without a baseline"
         )
-    currents = [ep.recall_currents[missing_pixel] for ep in trace.epochs]
+    currents = [ep.recall_currents[MISSING_PIXEL_ONE] for ep in trace.epochs]
     threshold = trace.threshold
     base = trace.epochs_to_recall
     min_delta = None
@@ -153,31 +150,19 @@ def variation_sweep(
     network: NetworkConfig,
     *,
     device_share: float = CALIBRATED_DEVICE_SHARE,
-    geometry: ArrayGeometry | None = None,
-    pattern: Pattern = PATTERN_ONE,
-    missing_pixel: int = MISSING_PIXEL_ONE,
 ) -> list[dict]:
     """Median epochs and energy per variation level, widest distribution first.
 
     ``seeds`` is either a count (runs seeds 0..n-1) or an explicit iterable.
-    Every (cv, seed) run goes through the batched ``run_cohort`` engine,
-    which matches ``run_learning`` bit for bit; ``sweep_rows`` turns its
-    outcomes into the table.
+    Every (cv, seed) run stores pattern one on a default 10x10 array through
+    the batched ``run_cohort`` engine, which matches ``run_learning`` bit for
+    bit; ``sweep_rows`` turns its outcomes into the table.
     """
     seed_list = list(range(seeds)) if isinstance(seeds, int) else [int(s) for s in seeds]
     if not seed_list:
         raise ParameterError("sweep needs at least one seed")
-    cohort = run_cohort(
-        sorted(set(float(c) for c in cvs), reverse=True),
-        seed_list,
-        params,
-        network,
-        device_share=device_share,
-        geometry=geometry,
-        pattern=pattern,
-        missing_pixel=missing_pixel,
-    )
-    return sweep_rows(cohort)
+    levels = sorted(set(float(c) for c in cvs), reverse=True)
+    return sweep_rows(run_cohort(levels, seed_list, params, network, device_share=device_share))
 
 
 def sweep_rows(cohort: CohortOutcome) -> list[dict]:

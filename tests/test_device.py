@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcmxbar.calibrated import calibrated_device_params
 from pcmxbar.device import (
     GRADUAL_SET_PULSE,
     RESET_PULSE,
@@ -18,6 +19,7 @@ from pcmxbar.device import (
     apply_full_reset,
     apply_full_set,
     apply_gradual_set,
+    decay_log_steps,
     gradual_step_fraction,
     lognormal_sigma,
     sample_device_factor,
@@ -277,6 +279,27 @@ def test_gradual_step_fraction_custom_schedule():
     assert gradual_step_fraction(params, 7) == 0.25
     with pytest.raises(ParameterError):
         gradual_step_fraction(params, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    params=st.one_of(
+        st.integers(1, 30).map(lambda levels: DeviceParams(gradual_levels=levels)),
+        st.sampled_from((DeviceParams(), calibrated_device_params())),
+        st.lists(st.floats(min_value=1e-12, max_value=10.0), min_size=1, max_size=12).map(
+            lambda schedule: DeviceParams(decay_schedule=schedule)
+        ),
+    )
+)
+def test_scalar_step_matches_the_array_step(params):
+    # apply_gradual_set and the array kernels must walk the same staircase
+    length = len(params.decay_schedule or ()) or params.gradual_levels
+    ks = np.arange(3 * length + 1)
+    steps = decay_log_steps(params, ks)
+    for k in ks:
+        scalar = gradual_step_fraction(params, int(k) + 1) * params.log_swing
+        assert scalar == decay_log_steps(params, int(k))
+        assert scalar == steps[k]
 
 
 def test_custom_schedule_steps_zero_noise():

@@ -1,8 +1,11 @@
-"""Golden outputs: the sha256 of every file default ``sweep`` and ``calibrate`` write.
+"""Golden outputs: the sha256 of every file default ``sweep`` and ``calibrate`` write,
+and one digest over all the files of ``learn``, ``characterize`` and
+``reproduce_figures`` at seed 0.
 
-The digests were taken before the cohort engine's streams moved to
-``stream_words``; any change to what these commands simulate or how they
-format it shows up here as a changed digest.
+The ``sweep`` and ``calibrate`` digests were taken before the cohort
+engine's streams moved to ``stream_words``, the others before the
+provenance header got its one builder; any change to what these commands
+simulate or how they format it shows up here as a changed digest.
 """
 
 import hashlib
@@ -11,6 +14,7 @@ import os
 import pytest
 
 from pcmxbar.cli import main
+from pcmxbar.harness import reproduce_figures
 
 GOLDEN = {
     ("sweep", "--seed", "0"): {
@@ -26,6 +30,25 @@ GOLDEN = {
 }
 
 
+# file count and sha256 of the directory listing in ``sha256sum`` form, one
+# "<sha256>  <name>" line per file in name order
+GOLDEN_DIRS = {
+    ("learn", "--cv", "0.60"):
+        (26, "d7f34d42c55531ac8b586e15d5f5c7911f45df3f189c1a94a765d93d7f268e28"),
+    ("learn", "--cv", "0.09"):
+        (6, "effa2683997a989c1dfb5024dab47afa15f636b352c7ff9721d21f1a8f9f5668"),
+    ("characterize",):
+        (3, "260076b5095e2db2ee2e07e58c6b67a0495da9dfd1f65ff3cb0ee3c5512c2287"),
+}
+GOLDEN_REPRODUCE = (39, "5dd73a8448d5a9c8542ee78b993f0ec3b894f5b4c6062a1864cc7e210678c3d6")
+
+
+def _directory_digest(path):
+    files = sorted(path.iterdir())
+    listing = "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n" for p in files)
+    return len(files), hashlib.sha256(listing.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: argv[0])
 def test_default_outputs_match_golden_digests(tmp_path, monkeypatch, argv):
     for name in [k for k in os.environ if k.startswith("PCMXBAR_")]:
@@ -33,3 +56,16 @@ def test_default_outputs_match_golden_digests(tmp_path, monkeypatch, argv):
     assert main([*argv, "--quiet", "--out", str(tmp_path)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert digests == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_DIRS), ids=lambda argv: "-".join(argv[::2]))
+def test_seed_zero_outputs_match_golden_directory_digests(tmp_path, monkeypatch, argv):
+    for name in [k for k in os.environ if k.startswith("PCMXBAR_")]:
+        monkeypatch.delenv(name)
+    assert main([*argv, "--seed", "0", "--quiet", "--out", str(tmp_path)]) == 0
+    assert _directory_digest(tmp_path) == GOLDEN_DIRS[argv]
+
+
+def test_reproduce_figures_matches_golden_directory_digest(tmp_path):
+    reproduce_figures(tmp_path, seed=0, sweep_seeds=6, characterize_cycles=3, trajectory_epochs=15)
+    assert _directory_digest(tmp_path) == GOLDEN_REPRODUCE

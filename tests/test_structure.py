@@ -1,5 +1,6 @@
-"""Module layout guards: one home for the seed streams, a light config import,
-and every function the benchmark traces still defined."""
+"""Module layout guards: one home for the seed streams and for the provenance
+header, a light config import, and every function the benchmark traces
+still defined."""
 
 import importlib
 import json
@@ -28,6 +29,15 @@ def test_seed_streams_derived_in_one_module():
         if "SeedSequence(" in path.read_text()
     )
     assert owners == ["calibrated.py"]
+
+
+def test_provenance_header_built_in_one_module():
+    owners = sorted(
+        path.name
+        for path in (SRC / "pcmxbar").glob("*.py")
+        if '"params_hash"' in path.read_text()
+    )
+    assert owners == ["harness.py"]
 
 
 def test_benchmark_call_targets_are_defined():
