@@ -28,7 +28,7 @@ import sys
 
 from . import __version__
 from ._io import ensure_out_dir, write_json, write_map_csv
-from .calibrated import training_stream
+from .calibrated import calibrated_device_params, training_stream
 from .config import (
     RunConfig,
     apply_config_file,
@@ -40,7 +40,7 @@ from .config import (
 from .crossbar import ArrayGeometry, build_array, resistance_map
 from .errors import ConfigError, OutputError, ParameterError, ProtocolError
 from .harness import calibrate_epochs, characterize_device, provenance_header, sweep_figures
-from .hopfield import run_two_pattern_protocol
+from .hopfield import check_shipped_patterns, run_two_pattern_protocol
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -101,6 +101,7 @@ def cmd_characterize(cfg: RunConfig) -> int:
 
 
 def cmd_learn(cfg: RunConfig) -> int:
+    check_shipped_patterns(cfg.network)
     out = ensure_out_dir(cfg.out)
     arr = build_array(ArrayGeometry(), cfg.device, cfg.variation(), cfg.seed)
     first, second = run_two_pattern_protocol(arr, cfg.network, training_stream(cfg.seed))
@@ -146,11 +147,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_calibrate(cfg: RunConfig) -> int:
+    check_shipped_patterns(cfg.network)
     out = ensure_out_dir(cfg.out)
     result = calibrate_epochs(seeds=cfg.calib_seeds, network=cfg.network)
     path = out / "calibration.json"
+    # the search ignores [device]: hash the operating point it searches around
     write_json(path, result.to_dict(),
-               provenance=provenance_header(cfg.seed, cfg.device, cfg.network))
+               provenance=provenance_header(cfg.seed, calibrated_device_params(), cfg.network))
     _say(cfg, f"wrote {path}")
     _say(cfg, f"best residual {result.residual} over {result.candidates_evaluated} candidates")
     ok = True

@@ -2,6 +2,10 @@
 
 State lives in dense numpy arrays (one entry per cell) rather than objects,
 which keeps the 25-cell update phase and the column-sum reads vectorized.
+The indices an update or a read needs depend only on the firing set and the
+geometry, so ``firing_plan`` builds them once per set and caches them: a
+training epoch gathers and scatters its cells by flat index and reads its
+block without building an index array.
 
 Indexing convention: wordlines and bitlines are 1-based in every public
 signature, matching how the neurons are numbered. Array storage is 0-based
@@ -10,7 +14,9 @@ with wordlines as rows.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +31,8 @@ __all__ = [
     "build_draws",
     "as_built_resistance",
     "build_array",
+    "FiringPlan",
+    "firing_plan",
     "apply_update_phase",
     "read_recall_currents",
     "resistance_map",
@@ -102,13 +110,31 @@ def build_array(
     )
 
 
-def _check_firing(array: CrossbarState, firing) -> list[int]:
-    neurons = sorted(set(firing))
-    limit = min(array.geometry.rows, array.geometry.cols)
+class FiringPlan(NamedTuple):
+    """The cells and read block of one firing set on one geometry; arrays are read-only."""
+
+    neurons: tuple[int, ...]  # sorted, 1-based
+    cells: tuple[tuple[int, int], ...]  # (wordline, bitline), row-major
+    flat: np.ndarray  # C-order flat index of each cell
+    sensed: tuple[int, ...]  # the bitlines of the non-firing neurons
+    read_block: tuple[np.ndarray, np.ndarray]  # np.ix_(firing rows, sensed columns)
+
+
+@functools.lru_cache(maxsize=128)
+def firing_plan(firing: frozenset, rows: int, cols: int) -> FiringPlan:
+    """Validate ``firing`` against a ``rows`` x ``cols`` array and build its indices once."""
+    neurons = tuple(sorted(firing))
+    limit = min(rows, cols)
     for n in neurons:
         if not 1 <= n <= limit:
             raise ParameterError(f"firing neuron {n} outside 1..{limit}")
-    return neurons
+    cells = tuple((w, b) for w in neurons for b in neurons)
+    flat = np.array([(w - 1) * cols + (b - 1) for w, b in cells], dtype=np.intp)
+    sensed = tuple(b for b in range(1, cols + 1) if b not in firing)
+    block = np.ix_(np.array(neurons, dtype=np.intp) - 1, np.array(sensed, dtype=np.intp) - 1)
+    for a in (flat, *block):
+        a.flags.writeable = False
+    return FiringPlan(neurons, cells, flat, sensed, block)
 
 
 def apply_update_phase(
@@ -118,42 +144,40 @@ def apply_update_phase(
 
     Cells are pulsed in row-major order over the sorted firing set, each
     advancing one step down its own staircase; the update consumes one
-    normal draw per cell. Returns the pulsed (wordline, bitline) pairs and
-    the programming energy, counted as pulses * e_prog.
+    normal draw per cell. The cells come from ``firing_plan`` and are
+    gathered and scattered by their flat indices, which ``take`` and ``put``
+    read in C order whatever the arrays' memory layout. Returns the pulsed
+    (wordline, bitline) pairs and the programming energy, counted as
+    pulses * e_prog.
     """
-    neurons = _check_firing(array, firing)
-    cells = [(w, b) for w in neurons for b in neurons]
-    if not cells:
+    plan = firing_plan(frozenset(firing), array.geometry.rows, array.geometry.cols)
+    if not plan.cells:
         return [], 0.0
     params = array.params
-    wl = np.array([w - 1 for w, _ in cells], dtype=np.intp)
-    bl = np.array([b - 1 for _, b in cells], dtype=np.intp)
-    steps = device.decay_log_steps(params, array.pulses_applied[wl, bl])
-    eps = params.sigma_c2c * rng.standard_normal(len(cells))
-    r_new = array.resistance[wl, bl] * np.exp(-steps + eps)
-    array.resistance[wl, bl] = np.maximum(params.r_set_floor, r_new)
-    array.pulses_applied[wl, bl] += 1
-    return cells, len(cells) * params.e_prog
+    pulses = array.pulses_applied.take(plan.flat)
+    steps = device.decay_log_steps(params, pulses)
+    eps = params.sigma_c2c * rng.standard_normal(len(plan.cells))
+    r_new = array.resistance.take(plan.flat) * np.exp(-steps + eps)
+    array.resistance.put(plan.flat, np.maximum(params.r_set_floor, r_new))
+    array.pulses_applied.put(plan.flat, pulses + 1)
+    return list(plan.cells), len(plan.cells) * params.e_prog
 
 
 def read_recall_currents(array: CrossbarState, firing, v_read: float) -> dict[int, float]:
     """Column currents on the non-firing bitlines with the firing wordlines driven.
 
     Each sensed bitline integrates ``v_read / R`` over the firing wordlines
-    (Kirchhoff sum down the column). Firing neurons' own bitlines are not
-    sensed. Pure: no cell state changes. An empty firing set reads all zeros.
+    (Kirchhoff sum down the column), read through the ``firing_plan``
+    block. Firing neurons' own bitlines are not sensed. Pure: no cell state
+    changes. An empty firing set reads all zeros.
     """
     if v_read < 0.0:
         raise ParameterError(f"v_read must be >= 0, got {v_read}")
-    neurons = _check_firing(array, firing)
-    sensed = [b for b in range(1, array.geometry.cols + 1) if b not in set(neurons)]
-    if not neurons:
-        return {b: 0.0 for b in sensed}
-    rows = np.array([n - 1 for n in neurons], dtype=np.intp)
-    cols = np.array([b - 1 for b in sensed], dtype=np.intp)
-    conductance = 1.0 / array.resistance[np.ix_(rows, cols)]
-    totals = v_read * conductance.sum(axis=0)
-    return {b: float(i) for b, i in zip(sensed, totals)}
+    plan = firing_plan(frozenset(firing), array.geometry.rows, array.geometry.cols)
+    if not plan.neurons:
+        return dict.fromkeys(plan.sensed, 0.0)
+    totals = v_read * (1.0 / array.resistance[plan.read_block]).sum(axis=0)
+    return dict(zip(plan.sensed, totals.tolist()))
 
 
 def resistance_map(array: CrossbarState, normalized: bool = True) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -178,6 +179,17 @@ class DeviceParams:
         """Full log-space distance from the RESET median down to the SET floor."""
         return math.log(self.r_reset_median / self.r_set_floor)
 
+    @cached_property
+    def log_step_table(self) -> np.ndarray:
+        """Read-only log-space size of gradual SET pulse k + 1 at entry k: schedule * swing."""
+        if self.decay_schedule is None:
+            sched = np.full(self.gradual_levels, 1.0 / self.gradual_levels)
+        else:
+            sched = np.asarray(self.decay_schedule, dtype=float)
+        table = sched * self.log_swing
+        table.flags.writeable = False
+        return table
+
 
 @dataclass
 class CellState:
@@ -232,17 +244,15 @@ def decay_log_steps(params: DeviceParams, pulses_applied: np.ndarray) -> np.ndar
     """Vectorized log-space step sizes for cells with the given pulse counts.
 
     ``pulses_applied`` holds pulses already seen, so cell i is about to take
-    pulse ``pulses_applied[i] + 1``. Used by the array update kernel and the
+    pulse ``pulses_applied[i] + 1``. The steps are looked up in
+    ``params.log_step_table``, built once per ``DeviceParams``; pulses past
+    its end take its last entry. Used by the array update kernel and the
     cohort engine; the scalar cell op ``apply_gradual_set`` takes its step
     from ``gradual_step_fraction`` instead, and a test pins the two to the
     identical staircase.
     """
-    if params.decay_schedule is None:
-        sched = np.full(params.gradual_levels, 1.0 / params.gradual_levels)
-    else:
-        sched = np.asarray(params.decay_schedule, dtype=float)
-    idx = np.minimum(np.asarray(pulses_applied, dtype=np.intp), len(sched) - 1)
-    return sched[idx] * params.log_swing
+    table = params.log_step_table
+    return table[np.minimum(np.asarray(pulses_applied, dtype=np.intp), len(table) - 1)]
 
 
 def apply_gradual_set(

@@ -46,6 +46,7 @@ from .hopfield import (
     PATTERN_ONE,
     CohortOutcome,
     NetworkConfig,
+    check_shipped_patterns,
     compute_threshold,
     run_cohort,
     run_learning,
@@ -291,15 +292,18 @@ def sweep_figures(
     representative seed (fig6).
     Returns the written paths and the representative seed of each cv.
     Raises ConfigError, before writing anything, when two distinct cvs
-    round to the same two-decimal file tag.
+    round to the same two-decimal file tag, and the error of
+    ``check_shipped_patterns``, before creating ``out_dir``, when
+    ``network`` does not fit the shipped patterns' cues.
     """
     levels = sorted(set(float(c) for c in cvs), reverse=True)
     tags = [f"{cv:.2f}" for cv in levels]
     if len(set(tags)) < len(tags):
         raise ConfigError(f"cvs {levels} share a two-decimal fig6 file tag: {tags}")
+    network = network or NetworkConfig()
+    check_shipped_patterns(network)
     out = ensure_out_dir(out_dir)
     params = params or calibrated_device_params()
-    network = network or NetworkConfig()
     base_prov = provenance_header(seed, params, network)
     seed_range = range(seed, seed + sweep_seeds)
     paths: list[Path] = []

@@ -28,6 +28,7 @@ from .crossbar import (
     apply_update_phase,
     as_built_resistance,
     build_draws,
+    firing_plan,
     read_recall_currents,
     resistance_map,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "EpochResult",
     "LearningTrace",
     "compute_threshold",
+    "check_shipped_patterns",
     "train_epoch",
     "run_learning",
     "CohortOutcome",
@@ -230,11 +232,29 @@ def _check_patterns(geometry: ArrayGeometry, pattern: Pattern, partial: Pattern,
         )
 
 
+def _cue(geometry: ArrayGeometry, pattern: Pattern, missing_pixel: int, config) -> Pattern:
+    """The partial cue of ``pattern`` without ``missing_pixel``, checked for a run on ``geometry``."""
+    if missing_pixel not in pattern.on:
+        raise ProtocolError(f"missing pixel {missing_pixel} is not part of the pattern")
+    partial = Pattern.from_on(pattern.on - {missing_pixel}, pattern.n)
+    _check_patterns(geometry, pattern, partial, config)
+    return partial
+
+
+def check_shipped_patterns(config: NetworkConfig) -> None:
+    """Raise the error training either shipped pattern under ``config`` would raise.
+
+    Lets a command that trains them reject its network settings before it
+    creates any output directory.
+    """
+    _cue(ArrayGeometry(), PATTERN_ONE, MISSING_PIXEL_ONE, config)
+    _cue(ArrayGeometry(), PATTERN_TWO, MISSING_PIXEL_TWO, config)
+
+
 def _read_energy(array: CrossbarState, cue, config: NetworkConfig) -> float:
     # every sensed column dissipates v^2/R in the cue cells for the read window
-    rows = np.array(sorted(cue), dtype=np.intp) - 1
-    cols = np.array([b - 1 for b in range(1, array.geometry.cols + 1) if b not in cue], dtype=np.intp)
-    g = 1.0 / array.resistance[np.ix_(rows, cols)]
+    block = firing_plan(frozenset(cue), array.geometry.rows, array.geometry.cols).read_block
+    g = 1.0 / array.resistance[block]
     return config.v_read**2 * config.read_duration * float(g.sum())
 
 
@@ -291,10 +311,7 @@ def run_learning(
     which records the full current trajectory for the fig6 tables.
     Non-convergence is a reported outcome, not an error.
     """
-    if missing_pixel not in pattern.on:
-        raise ProtocolError(f"missing pixel {missing_pixel} is not part of the pattern")
-    partial = Pattern.from_on(pattern.on - {missing_pixel}, pattern.n)
-    _check_patterns(array.geometry, pattern, partial, config)
+    partial = _cue(array.geometry, pattern, missing_pixel, config)
     if threshold is None:
         threshold = compute_threshold(array.initial_resistance, config)
     maps = [resistance_map(array)] if record_maps else []
@@ -386,10 +403,7 @@ def run_cohort(
     geometry = geometry or ArrayGeometry()
     variations = [VariationSpec(cv=float(cv), device_share=device_share) for cv in cvs]
     seeds = tuple(int(s) for s in seeds)
-    if missing_pixel not in pattern.on:
-        raise ProtocolError(f"missing pixel {missing_pixel} is not part of the pattern")
-    partial = Pattern.from_on(pattern.on - {missing_pixel}, pattern.n)
-    _check_patterns(geometry, pattern, partial, config)
+    partial = _cue(geometry, pattern, missing_pixel, config)
 
     unique = sorted(set(seeds))
     shape = (geometry.rows, geometry.cols)

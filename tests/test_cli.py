@@ -175,6 +175,33 @@ def test_calibrate_reports_a_cv_that_never_recalls(tmp_path, capsys, monkeypatch
     assert sorted(re.findall(r"cv=([0-9.]+): no recall within", stdout)) == never
 
 
+def test_calibrate_hashes_the_device_it_searches(tmp_path, capsys, monkeypatch):
+    # calibrate_epochs builds its candidates around calibrated_device_params(),
+    # never from [device], so [device] settings leave calibration.json as it was
+    assert main(["calibrate", "--seeds", "1", "--out", str(tmp_path / "default")]) == 0
+    monkeypatch.setenv("PCMXBAR_DEVICE_SIGMA_C2C", "0.2")
+    monkeypatch.setenv("PCMXBAR_DEVICE_R_RESET_MEDIAN", "6e6")
+    assert main(["calibrate", "--seeds", "1", "--out", str(tmp_path / "device")]) == 0
+    capsys.readouterr()
+    written = [(tmp_path / d / "calibration.json").read_bytes() for d in ("default", "device")]
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("command", [("learn",), ("sweep", "--seeds", "2"),
+                                     ("calibrate", "--seeds", "1")], ids=lambda c: c[0])
+@pytest.mark.parametrize("count", [1, 3, 5, 9])
+def test_recall_on_count_that_misfits_the_cues_fails_before_any_output(
+    tmp_path, capsys, monkeypatch, command, count
+):
+    monkeypatch.setenv("PCMXBAR_NETWORK_RECALL_ON_COUNT", str(count))
+    out = tmp_path / "D"
+    rc, stdout, err = run(capsys, *command, "--out", str(out))
+    assert rc == 2
+    assert err == f"pcmxbar: cue has 4 pixels, recall expects {count}\n"
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_config_file_env_flag_precedence(tmp_path, capsys, monkeypatch):
     ini = tmp_path / "run.ini"
     ini.write_text("[run]\nseed = 5\n[network]\nmax_epochs = 60\n")
