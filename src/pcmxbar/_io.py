@@ -3,15 +3,31 @@
 Every output file is reproducible byte for byte: no timestamps, fixed float
 formats, sorted JSON keys, LF line endings.
 
-A CSV row is formatted by one ``%``-format, built once per tuple of cell
-types and float format and then cached: ``%d`` for a bool, the float format
-for any float (``np.float64`` included), ``%s`` (that is, ``str``) for
+A CSV row is formatted by one ``%``-format, built on first use for its tuple
+of cell types and float format and then cached: ``%d`` for a bool, the float
+format for any float (``np.float64`` included), ``%s`` (that is, ``str``) for
 anything else. It gives the same text as formatting each cell on its own.
+When all rows share one length and one tuple of cell types, as maps and
+figure tables do, one cached format covers the whole body and takes the
+flattened cells in one ``%``.
+
+JSON text comes from ``_json_text``, a recursive encoder for the exact types
+that ``json`` maps to JSON. It gives ``json.dumps(obj, sort_keys=True,
+indent=2)``, whose ``indent`` would select the stdlib's slower pure-Python
+encoder. It raises on anything else (numpy scalars, int keys, NaN or
+infinity, a cycle), and ``write_json`` then leaves that object to
+``json.dumps``, so the stdlib decides the text or the error.
+``tests/test_io.py`` pins both CSV paths to per-cell formatting and the
+encoder to ``json.dumps``, byte for byte, with hypothesis.
+
+A file is written with one open, one write and one close; its parent
+directory is made only when the open finds it missing.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 from pathlib import Path
@@ -33,22 +49,76 @@ def _row_format(types: tuple, float_fmt: str) -> str:
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _table_format(types: tuple, float_fmt: str, rows: int) -> str:
+    return "\n".join([_row_format(types, float_fmt)] * rows)
+
+
 def write_csv(path, header, rows, provenance=None, float_fmt: str = "%.10g") -> None:
     """Write one CSV: '#' provenance comments, a header row, then data rows."""
-    path = Path(path)
     lines = provenance_lines(provenance)
     lines.append(",".join(header))
-    for row in rows:
-        row = tuple(row)
-        lines.append(_row_format(tuple(map(type, row)), float_fmt) % row)
+    rows = list(map(tuple, rows))
+    if rows:
+        types = tuple(map(type, rows[0]))
+        cells = tuple(itertools.chain.from_iterable(rows))
+        if len(set(map(len, rows))) == 1 and tuple(map(type, cells)) == types * len(rows):
+            lines.append(_table_format(types, float_fmt, len(rows)) % cells)
+        else:
+            lines.extend(_row_format(tuple(map(type, row)), float_fmt) % row for row in rows)
     _write_text(path, "\n".join(lines) + "\n")
+
+
+@functools.lru_cache(maxsize=16)
+def _map_header(cols: int) -> tuple[str, ...]:
+    return ("wordline", *(f"bitline_{b}" for b in range(1, cols + 1)))
 
 
 def write_map_csv(path, matrix, provenance=None) -> None:
     """Write a resistance map: one row per wordline, 6 significant digits."""
-    header = ["wordline"] + [f"bitline_{b}" for b in range(1, matrix.shape[1] + 1)]
-    rows = [[w, *row] for w, row in enumerate(matrix.tolist(), start=1)]
-    write_csv(path, header, rows, provenance=provenance, float_fmt="%.6g")
+    rows = [(w, *row) for w, row in enumerate(matrix.tolist(), start=1)]
+    write_csv(path, _map_header(matrix.shape[1]), rows, provenance=provenance, float_fmt="%.6g")
+
+
+def _json_text(obj, indent: str = "\n", _quote=json.encoder.encode_basestring_ascii) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` for exact JSON types.
+
+    ``indent`` is the newline and indentation that precede ``obj``'s closing
+    bracket. A finite float, the commonest value, is formatted in line
+    rather than by a call. Raises TypeError, ValueError or RecursionError on
+    whatever it does not encode itself.
+    """
+    kind = type(obj)
+    if kind is float:
+        if obj - obj == 0.0:  # NaN and infinity give NaN
+            return float.__repr__(obj)
+        raise ValueError("non-finite float")
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    inner = indent + "  "
+    if kind is dict:
+        if not obj:
+            return "{}"
+        # keys sort as json's sort_keys does; _quote raises on a non-str key
+        return "{" + inner + ("," + inner).join([
+            _quote(k) + ": "
+            + (float.__repr__(v) if type(v) is float and v - v == 0.0 else _json_text(v, inner))
+            for k, v in sorted(obj.items())
+        ]) + indent + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([
+            float.__repr__(v) if type(v) is float and v - v == 0.0 else _json_text(v, inner)
+            for v in obj
+        ]) + indent + "]"
+    raise TypeError(f"{kind.__name__} is left to json.dumps")
 
 
 def write_json(path, obj, provenance=None) -> None:
@@ -56,18 +126,47 @@ def write_json(path, obj, provenance=None) -> None:
     if provenance:
         obj = {"provenance": dict(provenance), **obj}
     try:
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+        try:
+            text = _json_text(obj)
+        except (TypeError, ValueError, RecursionError):
+            text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
-    _write_text(Path(path), text + "\n")
+    _write_text(path, text + "\n")
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path, text: str) -> None:
+    data = text.encode()
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8", newline="\n")
+        try:
+            fd = os.open(path, flags, 0o666)
+        except FileNotFoundError:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(path, flags, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
+
+
+def remove_numbered(out_dir, name: str, start: int) -> None:
+    """Delete ``name.format(k)`` in ``out_dir`` for k = start, start + 1, ... up to the first missing.
+
+    After a run writes files 0 .. start - 1 of a numbered series, this drops
+    the rest of the series an earlier run left in the same directory.
+    """
+    for k in itertools.count(start):
+        path = os.path.join(out_dir, name.format(k))
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            return
+        except OSError as exc:
+            raise OutputError(f"cannot remove {path}: {exc}") from exc
 
 
 def ensure_out_dir(out_dir) -> Path:

@@ -19,11 +19,13 @@ array, ``(seed, 1)`` drives training, ``(seed, 2)`` drives single-cell
 characterization. Epoch k of a run draws from the training root's k-th
 spawned child, ``SeedSequence((seed, 1), spawn_key=(k - 1,))``.
 
-Single runs derive their streams through ``SeedSequence``. Cohorts hash the
+Single runs derive their roots through ``SeedSequence``. Cohorts hash the
 same seed words for many seeds and spawn indices at once with
 ``stream_words``, which reproduces NumPy's ``SeedSequence`` mixing (NEP 19)
 on ``uint32`` arrays, and seed each ``PCG64`` from them with
-``word_generator``; the draws are the same bit for bit.
+``word_generator``. A single run's training root hashes the words of each
+child it spawns from its own mixed pool, with plain integers, in place of
+building the child ``SeedSequence``. The draws are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -113,8 +115,13 @@ def build_stream(seed: int) -> np.random.Generator:
 
 
 def training_stream(seed: int) -> np.random.Generator:
-    """Training root: each epoch spawns its own child from it."""
-    return np.random.default_rng(seed_sequence(seed, TRAINING))
+    """Training root: each epoch spawns its own child from it.
+
+    Its seed sequence counts the children spawned through the generator,
+    its bit generator or itself alike, and hashes each child's seed words
+    from the root's pool by index, as ``SeedSequence.spawn`` would.
+    """
+    return np.random.default_rng(_indexed_root_type()(seed, TRAINING))
 
 
 def characterization_stream(seed: int) -> np.random.Generator:
@@ -196,6 +203,31 @@ def stream_words(seeds, stream: int, spawn_keys=()) -> tuple[np.ndarray, np.ndar
     return children, roots
 
 
+def _child_words(pool: list[int], key: int) -> np.ndarray:
+    """PCG64 seed words of child ``key`` of the root whose mixed pool is ``pool``.
+
+    The same hash steps as ``stream_words``, on one child in Python integers.
+    """
+    key_hash, state_hash = _int_hash_constants()
+    mixed = []
+    for word, (xor, mult) in zip(pool, key_hash):
+        h = (key ^ xor) * mult & _MASK32
+        h ^= h >> _XSHIFT
+        word = (_MIX_MULT_L * word - _MIX_MULT_R * h) & _MASK32
+        mixed.append(word ^ word >> _XSHIFT)
+    state = []
+    for i, (xor, mult) in enumerate(state_hash):
+        word = (mixed[i % _POOL] ^ xor) * mult & _MASK32
+        state.append(word ^ word >> _XSHIFT)
+    return np.array([lo | hi << 32 for lo, hi in zip(state[0::2], state[1::2])], dtype=np.uint64)
+
+
+@functools.cache
+def _int_hash_constants() -> tuple[list, list]:
+    """(xor, multiply) pairs of the spawn-key and state hash steps, as Python integers."""
+    return _ENTROPY_HASH[:, -_POOL:].T.tolist(), _STATE_HASH.T.tolist()
+
+
 @functools.cache
 def _seed_words_type() -> type:
     """An ``ISeedSequence`` that hands PCG64 precomputed state words.
@@ -212,6 +244,37 @@ def _seed_words_type() -> type:
             return self.words
 
     return SeedWords
+
+
+@functools.cache
+def _indexed_root_type() -> type:
+    """A root ``ISpawnableSeedSequence`` whose children are ``SeedWords``; built on first use."""
+
+    class IndexedRoot(np.random.bit_generator.ISpawnableSeedSequence):
+        """``seed_sequence(seed, stream)``, with one spawn counter for every way of spawning.
+
+        Child k seeds its ``PCG64`` exactly as ``SeedSequence((seed, stream),
+        spawn_key=(k,))`` does. Seeds and keys of 2**32 and above take more
+        than one entropy word, and their children are that ``SeedSequence``.
+        """
+
+        def __init__(self, seed: int, stream: int):
+            self.seed, self.stream = seed, stream
+            self.root = seed_sequence(seed, stream)
+            self.pool = self.root.pool.tolist()
+            self.n_children_spawned = 0
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.root.generate_state(n_words, dtype)
+
+        def spawn(self, n_children: int) -> list:
+            keys = range(self.n_children_spawned, self.n_children_spawned + n_children)
+            self.n_children_spawned = keys.stop
+            if self.seed > _MASK32 or keys.stop > _MASK32 + 1:
+                return [seed_sequence(self.seed, self.stream, (k,)) for k in keys]
+            return [_seed_words_type()(_child_words(self.pool, k)) for k in keys]
+
+    return IndexedRoot
 
 
 def word_generator(words: np.ndarray) -> np.random.Generator:

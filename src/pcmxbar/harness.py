@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._io import ensure_out_dir, write_csv, write_map_csv
+from ._io import ensure_out_dir, remove_numbered, write_csv, write_map_csv
 from .calibrated import (
     CALIBRATED_DEVICE_SHARE,
     CALIBRATED_SIGMA_C2C,
@@ -93,28 +93,25 @@ def provenance_header(seed: int, params: DeviceParams, network: NetworkConfig) -
 # device characterization
 
 
-def characterize_device(
-    params: DeviceParams,
-    variation: VariationSpec,
-    cycles: int,
-    seed: int,
-    out_dir=None,
-    network: NetworkConfig | None = None,
-) -> dict:
-    """Single-cell characterization tables: cycling, spread, staircases.
+class _PreDrawn:
+    """Draw source for the scalar cell ops: ``standard_normal()`` returns the next of ``values``.
 
-    - binary_cycling: one device alternating full SET / full RESET
-    - distribution: 100 independent devices, one RESET and one SET each
-    - staircases: one device re-RESET ``cycles`` times, nine gradual pulses
-      after each, recorded as pulse 0 (fresh RESET) through 9
-
-    Returns the tables; with ``out_dir`` also writes fig2b/fig2c/fig2d.csv,
-    whose ``params_hash`` covers ``network`` (default ``NetworkConfig()``).
+    ``Generator.standard_normal(n)`` gives the same numbers as ``n`` scalar
+    calls, so the ops see the draws they would take one at a time from the
+    generator, at a fraction of the cost. Past the last value it raises
+    StopIteration.
     """
-    if cycles < 1:
-        raise ParameterError("cycles must be >= 1")
-    rng = characterization_stream(seed)
 
+    def __init__(self, values: list[float]):
+        self._rest = iter(values)
+        self.standard_normal = self._rest.__next__
+
+    def spent(self) -> bool:
+        return next(self._rest, None) is None
+
+
+def _cell_tables(params, variation, cycles: int, cells: int, rng) -> tuple[list, list, list]:
+    """The cycling, distribution and staircase rows of ``characterize_device``."""
     cycling = []
     cell = CellState(resistance=params.r_reset_median,
                      device_factor=sample_device_factor(variation, rng))
@@ -126,7 +123,7 @@ def characterize_device(
         cycling.append((cycle, "reset", cell.resistance))
 
     distribution = []
-    for idx in range(1, 101):
+    for idx in range(1, cells + 1):
         dev = CellState(resistance=params.r_reset_median,
                         device_factor=sample_device_factor(variation, rng))
         apply_full_reset(dev, params, variation, rng)
@@ -143,6 +140,41 @@ def characterize_device(
         for k in range(1, params.gradual_levels + 1):
             apply_gradual_set(probe, params, rng)
             staircases.append((cycle, k, probe.resistance))
+    return cycling, distribution, staircases
+
+
+def characterize_device(
+    params: DeviceParams,
+    variation: VariationSpec,
+    cycles: int,
+    seed: int,
+    out_dir=None,
+    network: NetworkConfig | None = None,
+) -> dict:
+    """Single-cell characterization tables: cycling, spread, staircases.
+
+    - binary_cycling: one device alternating full SET / full RESET
+    - distribution: 100 independent devices, one RESET and one SET each
+    - staircases: one device re-RESET ``cycles`` times, nine gradual pulses
+      after each, recorded as pulse 0 (fresh RESET) through 9
+
+    Every cell op takes one normal from the seed's characterization stream;
+    all of them are drawn in one call, in the order the ops consume them.
+    Returns the tables; with ``out_dir`` also writes fig2b/fig2c/fig2d.csv,
+    whose ``params_hash`` covers ``network`` (default ``NetworkConfig()``).
+    """
+    if cycles < 1:
+        raise ParameterError("cycles must be >= 1")
+    cells = 100
+    # one normal per device factor, RESET, SET and gradual SET pulse
+    n = (cells + 2) + (2 * cycles + cells + 1) + (cycles + cells) + cycles * params.gradual_levels
+    rng = _PreDrawn(characterization_stream(seed).standard_normal(n).tolist())
+    try:
+        cycling, distribution, staircases = _cell_tables(params, variation, cycles, cells, rng)
+    except StopIteration:
+        raise RuntimeError(f"the cell ops took more than the {n} normals drawn") from None
+    if not rng.spent():
+        raise RuntimeError(f"the cell ops took fewer than the {n} normals drawn")
 
     tables = {
         "binary_cycling": cycling,
@@ -400,6 +432,7 @@ def reproduce_figures(
                 p = out / f"fig4_epoch{k:02d}.csv"
                 write_map_csv(p, m, provenance={**cv_prov, "epoch": k})
                 paths.append(p)
+            remove_numbered(out, "fig4_epoch{:02d}.csv", len(maps))
         p = out / f"fig5_{tag}.csv"
         write_map_csv(p, resistance_map(arr, normalized=False), provenance=cv_prov)
         paths.append(p)

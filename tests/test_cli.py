@@ -13,6 +13,8 @@ import pytest
 from pcmxbar import cli
 from pcmxbar.cli import main
 from pcmxbar.config import _SCHEMA, config_hash, config_render, default_run_config
+from pcmxbar.harness import reproduce_figures
+from test_golden import _directory_digest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -98,6 +100,25 @@ def test_learn_writes_traces_and_maps(tmp_path, capsys):
     assert (out / "map_epoch02.csv").exists()  # initial + one epoch per pattern
     assert (out / "map_final.csv").exists()
     assert "recalled in 1 epochs" in stdout
+
+
+def test_learn_into_a_reused_directory_leaves_no_stale_maps(tmp_path, capsys):
+    # cv 0.60 writes 27 maps at seed 3, cv 0.09 writes 3: the rerun removes the other 24
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert main(["learn", "--cv", "0.60", "--seed", "3", "--out", str(reused)]) == 0
+    assert len(list(reused.glob("map_epoch*.csv"))) > 3
+    assert main(["learn", "--cv", "0.09", "--seed", "3", "--out", str(reused)]) == 0
+    assert main(["learn", "--cv", "0.09", "--seed", "3", "--out", str(fresh)]) == 0
+    assert "wrote 3 map_epochNN.csv files" in capsys.readouterr().out
+    assert _directory_digest(reused) == _directory_digest(fresh)
+
+
+def test_reproduce_figures_into_a_reused_directory_leaves_no_stale_maps(tmp_path):
+    small = dict(sweep_seeds=6, characterize_cycles=3, trajectory_epochs=15)
+    reproduce_figures(tmp_path / "reused", seed=1, **small)
+    reproduce_figures(tmp_path / "reused", seed=0, **small)
+    reproduce_figures(tmp_path / "fresh", seed=0, **small)
+    assert _directory_digest(tmp_path / "reused") == _directory_digest(tmp_path / "fresh")
 
 
 def test_learn_nonconvergence_exit_code(tmp_path, capsys):

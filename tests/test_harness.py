@@ -4,20 +4,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pcmxbar import harness
 from pcmxbar.calibrated import (
     CALIBRATED_DECAY_SCHEDULE,
     CALIBRATED_DEVICE_SHARE,
     CALIBRATED_SIGMA_C2C,
     VARIATION_LEVELS,
     build_decay_schedule,
+    characterization_stream,
     calibrated_device_params,
     calibrated_variation,
     stream_words,
     training_stream,
     word_generator,
 )
-from pcmxbar.device import DeviceParams, VariationSpec
+from pcmxbar.device import (
+    CellState,
+    DeviceParams,
+    VariationSpec,
+    apply_full_reset,
+    apply_full_set,
+    apply_gradual_set,
+    sample_device_factor,
+)
 from pcmxbar.errors import ParameterError
 from pcmxbar.harness import (
     CALIBRATION_TARGETS,
@@ -157,6 +169,52 @@ def test_word_generator_replays_the_spawned_child():
     )
 
 
+SPAWN_SEEDS = st.sampled_from((0, 1, 2**32 - 1, 2**32, 2**40 + 7)) | st.integers(0, 2**33)
+# one spawn: through the generator, its bit generator or its seed sequence, n children
+SPAWNS = st.lists(
+    st.tuples(st.sampled_from(("generator", "bit_generator", "seed_seq")), st.integers(1, 4)),
+    min_size=1, max_size=8,
+)
+
+
+def spawn_children(rng, via, n):
+    if via == "generator":
+        return rng.spawn(n)
+    if via == "bit_generator":
+        return [np.random.Generator(b) for b in rng.bit_generator.spawn(n)]
+    return [np.random.default_rng(s) for s in rng.bit_generator.seed_seq.spawn(n)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=SPAWN_SEEDS, spawns=SPAWNS | st.integers(1, 6).map(lambda n: [("generator", 1)] * n),
+       root_draws=st.integers(0, 3))
+def test_training_children_match_seed_sequence_spawning(seed, spawns, root_draws):
+    # every way of spawning counts on one sequence, as SeedSequence's own
+    # counter does, and each child draws what SeedSequence's child does
+    ours = training_stream(seed)
+    reference = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    assert np.array_equal(ours.standard_normal(root_draws), reference.standard_normal(root_draws))
+    for via, n in spawns:
+        mine, theirs = spawn_children(ours, via, n), spawn_children(reference, via, n)
+        assert len(mine) == len(theirs) == n
+        for a, b in zip(mine, theirs):
+            assert np.array_equal(a.standard_normal(7), b.standard_normal(7))
+            assert a.integers(2**63, size=2).tolist() == b.integers(2**63, size=2).tolist()
+    spawned = sum(n for _, n in spawns)
+    assert ours.bit_generator.seed_seq.n_children_spawned == spawned
+    assert np.array_equal(ours.standard_normal(5), reference.standard_normal(5))
+
+
+def test_training_children_past_one_key_word_take_seed_sequence():
+    # a spawn index of 2**32 needs two key words; the root falls back to SeedSequence
+    ours = training_stream(5).bit_generator.seed_seq
+    ours.n_children_spawned = 2**32 - 1
+    children = ours.spawn(2)
+    for k, child in zip((2**32 - 1, 2**32), children):
+        expected = np.random.SeedSequence((5, 1), spawn_key=(k,)).generate_state(4, np.uint64)
+        assert np.array_equal(child.generate_state(4, np.uint64), expected)
+
+
 def test_stream_words_reject_negative_seeds():
     with pytest.raises(ParameterError):
         stream_words([3, -1], 1, range(2))
@@ -164,6 +222,73 @@ def test_stream_words_reject_negative_seeds():
 
 # ---------------------------------------------------------------------------
 # device characterization
+
+
+def scalar_characterization(params, variation, cycles, seed):
+    """The characterization tables with one scalar draw per cell op, as they were first written."""
+    rng = characterization_stream(seed)
+
+    cycling = []
+    cell = CellState(resistance=params.r_reset_median,
+                     device_factor=sample_device_factor(variation, rng))
+    apply_full_reset(cell, params, variation, rng)
+    for cycle in range(1, cycles + 1):
+        apply_full_set(cell, params, rng)
+        cycling.append((cycle, "set", cell.resistance))
+        apply_full_reset(cell, params, variation, rng)
+        cycling.append((cycle, "reset", cell.resistance))
+
+    distribution = []
+    for idx in range(1, 101):
+        dev = CellState(resistance=params.r_reset_median,
+                        device_factor=sample_device_factor(variation, rng))
+        apply_full_reset(dev, params, variation, rng)
+        r_reset = dev.resistance
+        apply_full_set(dev, params, rng)
+        distribution.append((idx, r_reset, dev.resistance))
+
+    staircases = []
+    probe = CellState(resistance=params.r_reset_median,
+                      device_factor=sample_device_factor(variation, rng))
+    for cycle in range(1, cycles + 1):
+        apply_full_reset(probe, params, variation, rng)
+        staircases.append((cycle, 0, probe.resistance))
+        for k in range(1, params.gradual_levels + 1):
+            apply_gradual_set(probe, params, rng)
+            staircases.append((cycle, k, probe.resistance))
+    return {"binary_cycling": cycling, "distribution": distribution, "staircases": staircases}
+
+
+def test_pre_drawn_characterization_matches_scalar_draws():
+    # characterize_device raises unless its cell ops take exactly the normals
+    # it drew, so returning at all shows the count; the tables show the order
+    for cycles in range(1, 13):
+        for levels in range(1, 13):
+            params = DeviceParams(gradual_levels=levels, sigma_c2c=0.05 * (levels % 4))
+            variation = VariationSpec(cv=(0.09, 0.24, 0.6)[cycles % 3])
+            seed = 13 * cycles + levels
+            expected = scalar_characterization(params, variation, cycles, seed)
+            assert characterize_device(params, variation, cycles, seed) == expected, (cycles, levels)
+    calibrated = calibrated_device_params()
+    assert characterize_device(calibrated, VariationSpec(cv=0.4), 10, 3) == (
+        scalar_characterization(calibrated, VariationSpec(cv=0.4), 10, 3)
+    )
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_characterization_with_a_wrong_draw_count_raises(monkeypatch, extra):
+    def miscounted(seed):
+        rng = characterization_stream(seed)
+
+        class Stream:
+            def standard_normal(self, n):
+                return rng.standard_normal(n + extra)
+
+        return Stream()
+
+    monkeypatch.setattr(harness, "characterization_stream", miscounted)
+    with pytest.raises(RuntimeError, match="normals drawn"):
+        characterize_device(DeviceParams(), VariationSpec(cv=0.24), 3, 0)
 
 
 def test_characterize_structure_and_files(tmp_path):
