@@ -21,11 +21,13 @@ infinity, a cycle), and ``write_json`` then leaves that object to
 encoder to ``json.dumps``, byte for byte, with hypothesis.
 
 A file is written with one open, one write and one close; its parent
-directory is made only when the open finds it missing.
+directory is made only when the open finds it missing. ``remove_stale`` is
+the one place that deletes outputs.
 """
 
 from __future__ import annotations
 
+import fnmatch
 import functools
 import itertools
 import json
@@ -153,20 +155,30 @@ def _write_text(path, text: str) -> None:
         raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
-def remove_numbered(out_dir, name: str, start: int) -> None:
-    """Delete ``name.format(k)`` in ``out_dir`` for k = start, start + 1, ... up to the first missing.
+def remove_stale(out_dir, patterns, written) -> None:
+    """Delete each file in ``out_dir`` that matches one of ``patterns`` and is not in ``written``.
 
-    After a run writes files 0 .. start - 1 of a numbered series, this drops
-    the rest of the series an earlier run left in the same directory.
+    A command calls this after writing, with the ``fnmatch`` name patterns of
+    the files it owns and the ``Path``s it wrote, so that the directory holds
+    only the series of its last run. The files it wrote are rewritten in
+    place, never deleted and recreated.
     """
-    for k in itertools.count(start):
-        path = os.path.join(out_dir, name.format(k))
-        try:
-            os.unlink(path)
-        except FileNotFoundError:
-            return
-        except OSError as exc:
-            raise OutputError(f"cannot remove {path}: {exc}") from exc
+    try:
+        names = os.listdir(out_dir)
+    except OSError as exc:
+        raise OutputError(f"cannot list {out_dir}: {exc}") from exc
+    keep = {path.name for path in written}
+    for pattern in patterns:
+        for name in fnmatch.filter(names, pattern):
+            if name in keep:
+                continue
+            path = os.path.join(out_dir, name)
+            try:
+                os.unlink(path)
+            except FileNotFoundError:
+                pass
+            except OSError as exc:
+                raise OutputError(f"cannot remove {path}: {exc}") from exc
 
 
 def ensure_out_dir(out_dir) -> Path:

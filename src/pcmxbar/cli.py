@@ -27,7 +27,7 @@ import os
 import sys
 
 from . import __version__
-from ._io import ensure_out_dir, remove_numbered, write_json, write_map_csv
+from ._io import ensure_out_dir, remove_stale, write_json, write_map_csv
 from .calibrated import calibrated_device_params, training_stream
 from .config import (
     RunConfig,
@@ -113,9 +113,10 @@ def cmd_learn(cfg: RunConfig) -> int:
         _say(cfg, f"wrote {path}")
 
     maps = first.normalized_maps + second.normalized_maps[1:]
-    for k, m in enumerate(maps):
-        write_map_csv(out / f"map_epoch{k:02d}.csv", m, provenance={**prov, "epoch": k})
-    remove_numbered(out, "map_epoch{:02d}.csv", len(maps))  # a longer earlier run's maps
+    map_paths = [out / f"map_epoch{k:02d}.csv" for k in range(len(maps))]
+    for k, (path, m) in enumerate(zip(map_paths, maps)):
+        write_map_csv(path, m, provenance={**prov, "epoch": k})
+    remove_stale(out, ("map_epoch*.csv",), map_paths)
     _say(cfg, f"wrote {len(maps)} map_epochNN.csv files")
     path = out / "map_final.csv"
     write_map_csv(path, resistance_map(arr, normalized=False), provenance=prov)

@@ -78,8 +78,16 @@ def _parse_schedule(text: str):
     return tuple(float(part) for part in text.split(","))
 
 
+def _parse_cv(text: str) -> float:
+    return VariationSpec(cv=float(text)).cv
+
+
 def _parse_cvs(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
+    return tuple(_parse_cv(part) for part in text.split(","))
+
+
+def _parse_device_share(text: str) -> float:
+    return VariationSpec(cv=0.0, device_share=float(text)).device_share
 
 
 def _parse_seed(text: str) -> int:
@@ -87,6 +95,13 @@ def _parse_seed(text: str) -> int:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return seed
+
+
+def _parse_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise ValueError(f"must be >= 1, got {count}")
+    return count
 
 
 # section -> key -> parser; a [device] or [network] key rebuilds that
@@ -104,9 +119,9 @@ _SCHEMA = {
         "decay_schedule": _parse_schedule,
     },
     "variation": {
-        "cv": float,
+        "cv": _parse_cv,
         "cvs": _parse_cvs,
-        "device_share": float,
+        "device_share": _parse_device_share,
     },
     "network": {
         "c_factor": float,
@@ -119,10 +134,10 @@ _SCHEMA = {
         "seed": _parse_seed,
         "out": Path,
         "quiet": _parse_bool,
-        "cycles": int,
-        "sweep_seeds": int,
-        "calib_seeds": int,
-        "trajectory_epochs": int,
+        "cycles": _parse_count,
+        "sweep_seeds": _parse_count,
+        "calib_seeds": _parse_count,
+        "trajectory_epochs": _parse_count,
     },
 }
 

@@ -35,7 +35,6 @@ __all__ = [
     "CellState",
     "sample_device_factor",
     "sample_reset_resistance",
-    "gradual_step_fraction",
     "decay_log_steps",
     "apply_gradual_set",
     "apply_full_set",
@@ -230,16 +229,6 @@ def sample_reset_resistance(
     return max(params.r_set_floor, r)
 
 
-def gradual_step_fraction(params: DeviceParams, pulse_index: int) -> float:
-    """Fraction of the log swing removed by gradual SET pulse ``pulse_index`` (1-based)."""
-    if pulse_index < 1:
-        raise ParameterError(f"pulse_index must be >= 1, got {pulse_index}")
-    sched = params.decay_schedule
-    if sched is None:
-        return 1.0 / params.gradual_levels
-    return sched[min(pulse_index, len(sched)) - 1]
-
-
 def decay_log_steps(params: DeviceParams, pulses_applied: np.ndarray) -> np.ndarray:
     """Vectorized log-space step sizes for cells with the given pulse counts.
 
@@ -247,9 +236,8 @@ def decay_log_steps(params: DeviceParams, pulses_applied: np.ndarray) -> np.ndar
     pulse ``pulses_applied[i] + 1``. The steps are looked up in
     ``params.log_step_table``, built once per ``DeviceParams``; pulses past
     its end take its last entry. Used by the array update kernel and the
-    cohort engine; the scalar cell op ``apply_gradual_set`` takes its step
-    from ``gradual_step_fraction`` instead, and a test pins the two to the
-    identical staircase.
+    cohort engine; the scalar cell op ``apply_gradual_set`` reads the same
+    table, so every path walks the identical staircase.
     """
     table = params.log_step_table
     return table[np.minimum(np.asarray(pulses_applied, dtype=np.intp), len(table) - 1)]
@@ -263,7 +251,8 @@ def apply_gradual_set(
     The resistance contracts by the scheduled log step plus lognormal jitter,
     clamped at the SET floor. The cell object is mutated and returned.
     """
-    step = gradual_step_fraction(params, cell.pulses_applied + 1) * params.log_swing
+    table = params.log_step_table
+    step = table.item(min(cell.pulses_applied, len(table) - 1))
     eps = params.sigma_c2c * rng.standard_normal()
     cell.resistance = max(params.r_set_floor, cell.resistance * math.exp(-step + eps))
     cell.pulses_applied += 1

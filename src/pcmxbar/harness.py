@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
-from ._io import ensure_out_dir, remove_numbered, write_csv, write_map_csv
+from ._io import ensure_out_dir, remove_stale, write_csv, write_map_csv
 from .calibrated import (
     CALIBRATED_DEVICE_SHARE,
     CALIBRATED_SIGMA_C2C,
@@ -93,21 +95,8 @@ def provenance_header(seed: int, params: DeviceParams, network: NetworkConfig) -
 # device characterization
 
 
-class _PreDrawn:
-    """Draw source for the scalar cell ops: ``standard_normal()`` returns the next of ``values``.
-
-    ``Generator.standard_normal(n)`` gives the same numbers as ``n`` scalar
-    calls, so the ops see the draws they would take one at a time from the
-    generator, at a fraction of the cost. Past the last value it raises
-    StopIteration.
-    """
-
-    def __init__(self, values: list[float]):
-        self._rest = iter(values)
-        self.standard_normal = self._rest.__next__
-
-    def spent(self) -> bool:
-        return next(self._rest, None) is None
+# normals drawn from the characterization stream at a time
+_DRAW_BLOCK = 512
 
 
 def _cell_tables(params, variation, cycles: int, cells: int, rng) -> tuple[list, list, list]:
@@ -158,23 +147,19 @@ def characterize_device(
     - staircases: one device re-RESET ``cycles`` times, nine gradual pulses
       after each, recorded as pulse 0 (fresh RESET) through 9
 
-    Every cell op takes one normal from the seed's characterization stream;
-    all of them are drawn in one call, in the order the ops consume them.
-    Returns the tables; with ``out_dir`` also writes fig2b/fig2c/fig2d.csv,
-    whose ``params_hash`` covers ``network`` (default ``NetworkConfig()``).
+    Every cell op takes the next normal from the seed's characterization
+    stream. The normals are drawn ``_DRAW_BLOCK`` at a time, which gives the
+    same numbers as drawing them one by one; at the defaults the ops take
+    423, so one block covers them. Returns the tables; with ``out_dir`` also
+    writes fig2b/fig2c/fig2d.csv, whose ``params_hash`` covers ``network``
+    (default ``NetworkConfig()``).
     """
     if cycles < 1:
         raise ParameterError("cycles must be >= 1")
-    cells = 100
-    # one normal per device factor, RESET, SET and gradual SET pulse
-    n = (cells + 2) + (2 * cycles + cells + 1) + (cycles + cells) + cycles * params.gradual_levels
-    rng = _PreDrawn(characterization_stream(seed).standard_normal(n).tolist())
-    try:
-        cycling, distribution, staircases = _cell_tables(params, variation, cycles, cells, rng)
-    except StopIteration:
-        raise RuntimeError(f"the cell ops took more than the {n} normals drawn") from None
-    if not rng.spent():
-        raise RuntimeError(f"the cell ops took fewer than the {n} normals drawn")
+    stream = characterization_stream(seed)
+    blocks = (stream.standard_normal(_DRAW_BLOCK).tolist() for _ in itertools.repeat(None))
+    rng = SimpleNamespace(standard_normal=itertools.chain.from_iterable(blocks).__next__)
+    cycling, distribution, staircases = _cell_tables(params, variation, cycles, 100, rng)
 
     tables = {
         "binary_cycling": cycling,
@@ -317,16 +302,19 @@ def sweep_figures(
     fig7 is the sweep table over seeds ``seed .. seed+sweep_seeds-1``, from
     one ``run_cohort`` call. Each fig6_CV.csv replays the cohort's most
     typical seed (epoch count closest to the median, picked from the same
-    cohort outcomes) past recall for ``trajectory_epochs`` epochs and
-    tabulates the missing pixel's current against both threshold choices.
+    cohort outcomes) for ``trajectory_epochs`` epochs at threshold infinity,
+    so it trains past recall, and tabulates the missing pixel's current
+    against both threshold choices.
     Each file opens with the ``provenance_header`` of ``seed``, ``params``
     and ``network``, plus the seed range (fig7) or the cv tag and
     representative seed (fig6).
     Returns the written paths and the representative seed of each cv.
-    Raises ConfigError, before writing anything, when two distinct cvs
-    round to the same two-decimal file tag, and the error of
-    ``check_shipped_patterns``, before creating ``out_dir``, when
-    ``network`` does not fit the shipped patterns' cues.
+    Raises, before creating ``out_dir``: ConfigError when two distinct cvs
+    round to the same two-decimal file tag, the error of
+    ``check_shipped_patterns`` when ``network`` does not fit the shipped
+    patterns' cues, and ParameterError when ``sweep_seeds`` or
+    ``trajectory_epochs`` is below one. Afterwards it deletes every
+    ``fig6_*.csv`` in ``out_dir`` that it did not write.
     """
     levels = sorted(set(float(c) for c in cvs), reverse=True)
     tags = [f"{cv:.2f}" for cv in levels]
@@ -334,15 +322,15 @@ def sweep_figures(
         raise ConfigError(f"cvs {levels} share a two-decimal fig6 file tag: {tags}")
     network = network or NetworkConfig()
     check_shipped_patterns(network)
-    out = ensure_out_dir(out_dir)
-    params = params or calibrated_device_params()
-    base_prov = provenance_header(seed, params, network)
     seed_range = range(seed, seed + sweep_seeds)
-    paths: list[Path] = []
-
     if not seed_range:
         raise ParameterError("sweep needs at least one seed")
     traj_cfg = replace(network, max_epochs=trajectory_epochs)
+    out = ensure_out_dir(out_dir)
+    params = params or calibrated_device_params()
+    base_prov = provenance_header(seed, params, network)
+    paths: list[Path] = []
+
     cohort = run_cohort(levels, seed_range, params, network, device_share=device_share)
     fig7 = out / "fig7.csv"
     write_sweep_csv(
@@ -360,20 +348,22 @@ def sweep_figures(
         )
         trace = run_learning(
             arr, PATTERN_ONE, MISSING_PIXEL_ONE, traj_cfg, training_stream(rep),
-            record_maps=False, continue_after_recall=True,
+            threshold=math.inf, record_maps=False,
         )
         thr_15 = compute_threshold(arr.initial_resistance, replace(network, c_factor=1.5))
+        thr_2 = compute_threshold(arr.initial_resistance, network)
         p = out / f"fig6_{tag}.csv"
         write_csv(
             p,
             ("epoch", "current_amps", "threshold_c15_amps", "threshold_c2_amps"),
             [
-                (ep.epoch_index, ep.recall_currents[MISSING_PIXEL_ONE], thr_15, trace.threshold)
+                (ep.epoch_index, ep.recall_currents[MISSING_PIXEL_ONE], thr_15, thr_2)
                 for ep in trace.epochs
             ],
             provenance={**base_prov, "cv": tag, "representative_seed": rep},
         )
         paths.append(p)
+    remove_stale(out, ("fig6_*.csv",), paths)
     return paths, representatives
 
 
@@ -396,7 +386,9 @@ def reproduce_figures(
 
     Per-variation runs use the seed whose epoch count is the cohort's median,
     so the single illustrated run is typical by construction. Everything is
-    keyed off ``seed`` and reruns byte-identically.
+    keyed off ``seed`` and reruns byte-identically. Afterwards it deletes
+    every ``fig4_epoch*.csv`` and ``fig5_*.csv`` in ``out_dir`` that it did
+    not write; ``sweep_figures`` does the same for ``fig6_*.csv``.
     """
     out = ensure_out_dir(out_dir)
     params = calibrated_device_params()
@@ -432,7 +424,6 @@ def reproduce_figures(
                 p = out / f"fig4_epoch{k:02d}.csv"
                 write_map_csv(p, m, provenance={**cv_prov, "epoch": k})
                 paths.append(p)
-            remove_numbered(out, "fig4_epoch{:02d}.csv", len(maps))
         p = out / f"fig5_{tag}.csv"
         write_map_csv(p, resistance_map(arr, normalized=False), provenance=cv_prov)
         paths.append(p)
@@ -446,4 +437,5 @@ def reproduce_figures(
         )
         paths.append(p)
 
+    remove_stale(out, ("fig4_epoch*.csv", "fig5_*.csv"), paths)
     return sorted(paths)

@@ -301,14 +301,14 @@ def run_learning(
     *,
     threshold: float | None = None,
     record_maps: bool = True,
-    continue_after_recall: bool = False,
 ) -> LearningTrace:
     """Train until the missing pixel recalls or the epoch budget runs out.
 
     Each epoch draws from its own spawned child stream, so traces replay
     exactly from the same root generator regardless of where they stop.
-    ``continue_after_recall`` keeps training through ``max_epochs`` anyway,
-    which records the full current trajectory for the fig6 tables.
+    ``threshold`` defaults to ``compute_threshold`` of the as-built map;
+    ``math.inf`` never recalls, so the run trains through ``max_epochs`` and
+    records the full current trajectory, as the fig6 tables do.
     Non-convergence is a reported outcome, not an error.
     """
     partial = _cue(array.geometry, pattern, missing_pixel, config)
@@ -323,9 +323,8 @@ def run_learning(
         epochs.append(result)
         if record_maps:
             maps.append(resistance_map(array))
-        if result.recalled and epochs_to_recall is None:
+        if result.recalled:
             epochs_to_recall = epoch
-        if result.recalled and not continue_after_recall:
             break
     count = sum(ep.program_event_count for ep in epochs)
     # explicit left-to-right float sum: from Python 3.12 on, sum() compensates

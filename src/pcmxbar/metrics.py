@@ -1,11 +1,11 @@
 """Read-bias sensitivity and variation sweeps.
 
-Sensitivity exploits that recall currents are exactly linear in the read
-bias and nothing else in a run depends on it: one trajectory, recorded up to
-the recall epoch, is enough to predict the epoch count for any rescaled bias
-against the fixed threshold. Later epochs cannot matter, because a raised
-bias crosses by the recall epoch at the latest and a lowered one cannot
-cross before it. A test pins this shortcut to a genuine rerun.
+Recall currents are exactly linear in the read bias and nothing else in a
+run depends on it. So against the fixed threshold ``T``, a bias raised by
+``d`` recalls sooner iff ``(1 + d) * M > T`` for the largest current ``M``
+before the recall epoch, and one lowered by ``d`` recalls later or never iff
+``(1 - d) * I_b <= T`` for the current ``I_b`` at it. IEEE rounding is
+monotone, so these two products decide for every epoch of the run.
 """
 
 from __future__ import annotations
@@ -75,13 +75,6 @@ class SensitivityResult:
         }
 
 
-def _first_crossing(currents, threshold) -> int | None:
-    for epoch, current in enumerate(currents, start=1):
-        if current > threshold:
-            return epoch
-    return None
-
-
 def read_voltage_sensitivity(
     params: DeviceParams,
     variation: VariationSpec,
@@ -90,18 +83,18 @@ def read_voltage_sensitivity(
     *,
     grid: tuple[float, ...] = DEFAULT_PERTURBATION_GRID,
 ) -> SensitivityResult:
-    """Scan bias perturbations for the smallest one that changes the outcome.
+    """The smallest grid step that changes the epochs-to-recall, up or down.
 
-    Builds the default 10x10 array for ``seed``, trains pattern one with
-    its missing pixel as the target up to the recall epoch ``b``, and
-    replays the recorded current trajectory scaled by (1 +/- delta) against
-    the unchanged threshold ``T``. A raised bias crosses by ``b`` at the
-    latest, since ``(1+d)*I_b >= I_b > T`` under IEEE rounding, and a
-    lowered one cannot cross before ``b``, since ``(1-d)*I_e <= I_e <= T``
-    for every ``e < b``; so epochs after ``b`` never change the answer.
-    Returns the sentinel (None) when no grid entry flips. Raises
-    ProtocolError when the unperturbed run never recalls, since there is no
-    baseline to compare against.
+    Builds the default 10x10 array for ``seed`` and trains pattern one with
+    its missing pixel as the target up to the recall epoch ``b``. A bias
+    scaled by ``1 + d`` recalls before ``b`` iff ``(1 + d) * M > T`` for the
+    largest current ``M`` before ``b``, since rounding is monotone, and
+    ``(1 + d) * I_b >= I_b > T`` still recalls by ``b``. A bias scaled by
+    ``1 - d`` cannot recall before ``b``, as ``(1 - d) * I_e <= I_e <= T``,
+    so it changes the outcome iff ``(1 - d) * I_b <= T``. A run that recalls
+    in epoch one has no ``M``, so only a lowered bias can flip it. Returns
+    the sentinel (None) when no grid entry flips. Raises ProtocolError when
+    the unperturbed run never recalls: there is no baseline to compare with.
     """
     last = 0.0
     for d in grid:
@@ -117,16 +110,14 @@ def read_voltage_sensitivity(
             f"baseline run (cv={variation.cv}, seed={seed}) never recalled; "
             "sensitivity is undefined without a baseline"
         )
-    currents = [ep.recall_currents[MISSING_PIXEL_ONE] for ep in trace.epochs]
+    *earlier, recall = [ep.recall_currents[MISSING_PIXEL_ONE] for ep in trace.epochs]
+    peak = max(earlier) if earlier else None
     threshold = trace.threshold
-    base = trace.epochs_to_recall
     min_delta = None
     direction = None
     for d in grid:
-        up = _first_crossing([(1.0 + d) * i for i in currents], threshold)
-        down = _first_crossing([(1.0 - d) * i for i in currents], threshold)
-        up_flip = up != base
-        down_flip = down != base
+        up_flip = peak is not None and (1.0 + d) * peak > threshold
+        down_flip = (1.0 - d) * recall <= threshold
         if up_flip or down_flip:
             min_delta = d
             direction = "both" if (up_flip and down_flip) else ("up" if up_flip else "down")
@@ -136,7 +127,7 @@ def read_voltage_sensitivity(
         seed=seed,
         v_read=network.v_read,
         threshold=threshold,
-        base_epochs=base,
+        base_epochs=trace.epochs_to_recall,
         grid=tuple(grid),
         min_relative_perturbation=min_delta,
         flip_direction=direction,

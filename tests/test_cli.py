@@ -121,6 +121,43 @@ def test_reproduce_figures_into_a_reused_directory_leaves_no_stale_maps(tmp_path
     assert _directory_digest(tmp_path / "reused") == _directory_digest(tmp_path / "fresh")
 
 
+# per command, two argument sets whose outputs differ in which files they write
+REUSED_RUNS = {
+    "learn": (("learn", "--cv", "0.60", "--seed", "3"),
+              ("learn", "--cv", "0.09", "--seed", "3")),
+    "sweep": (("sweep", "--cvs", "0.6,0.09", "--seeds", "3"),
+              ("sweep", "--cvs", "0.4", "--seeds", "3")),
+    "characterize": (("characterize", "--cycles", "3"),
+                     ("characterize", "--cycles", "2", "--seed", "1")),
+    "calibrate": (("calibrate", "--seeds", "2"), ("calibrate", "--seeds", "1")),
+}
+
+
+@pytest.mark.parametrize("command", list(REUSED_RUNS))
+def test_a_reused_directory_holds_only_the_last_run_and_user_files(tmp_path, capsys, command):
+    first, last = REUSED_RUNS[command]
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    for out in (reused, fresh):
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+    assert main([*first, "--quiet", "--out", str(reused)]) == 0
+    assert main([*last, "--quiet", "--out", str(reused)]) == 0
+    assert main([*last, "--quiet", "--out", str(fresh)]) == 0
+    assert _directory_digest(reused) == _directory_digest(fresh)
+
+
+def test_reproduce_figures_into_a_reused_directory_keeps_only_its_last_cvs(tmp_path):
+    small = dict(sweep_seeds=6, characterize_cycles=3, trajectory_epochs=15)
+    for out in (tmp_path / "reused", tmp_path / "fresh"):
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+    reproduce_figures(tmp_path / "reused", seed=1, cvs=(0.60, 0.30), **small)
+    assert (tmp_path / "reused" / "fig6_0.30.csv").exists()
+    reproduce_figures(tmp_path / "reused", seed=0, **small)
+    reproduce_figures(tmp_path / "fresh", seed=0, **small)
+    assert _directory_digest(tmp_path / "reused") == _directory_digest(tmp_path / "fresh")
+
+
 def test_learn_nonconvergence_exit_code(tmp_path, capsys):
     out = tmp_path / "capped"
     rc, stdout, _ = run(
@@ -223,6 +260,34 @@ def test_recall_on_count_that_misfits_the_cues_fails_before_any_output(
     assert not out.exists()
 
 
+BAD_COUNTS_AND_SPREADS = [
+    (("sweep", "--seeds", "0"), {}, "--seeds"),
+    (("sweep", "--seeds", "-3"), {}, "--seeds"),
+    (("sweep", "--trajectory-epochs", "0"), {}, "--trajectory-epochs"),
+    (("calibrate", "--seeds", "0"), {}, "--seeds"),
+    (("characterize", "--cycles", "0"), {}, "--cycles"),
+    (("learn", "--cv", "-1"), {}, "--cv"),
+    (("sweep", "--cvs", "0.6,-1"), {}, "--cvs"),
+    (("learn",), {"PCMXBAR_VARIATION_DEVICE_SHARE": "2"}, "$PCMXBAR_VARIATION_DEVICE_SHARE"),
+]
+
+
+@pytest.mark.parametrize("argv,env,origin", BAD_COUNTS_AND_SPREADS,
+                         ids=[" ".join(a) + "".join(f" {k}={v}" for k, v in e.items())
+                              for a, e, _ in BAD_COUNTS_AND_SPREADS])
+def test_bad_run_count_or_variation_fails_before_any_output(
+    tmp_path, capsys, monkeypatch, argv, env, origin
+):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "D"
+    rc, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert rc == 2
+    assert err.startswith("pcmxbar: ") and f" in {origin}: " in err
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_config_file_env_flag_precedence(tmp_path, capsys, monkeypatch):
     ini = tmp_path / "run.ini"
     ini.write_text("[run]\nseed = 5\n[network]\nmax_epochs = 60\n")
@@ -305,7 +370,7 @@ BAD_INPUTS = [
     (("learn", "--cv", "1e200"), {}),
     (("sweep", "--cvs", "1e200", "--seeds", "2"), {}),
     (("learn",), {"PCMXBAR_NETWORK_V_READ": "1e200"}),
-    # a budget that is used only after fig7.csv is written
+    # a trajectory budget below one
     (("sweep", "--trajectory-epochs", "0", "--seeds", "2"), {}),
 ]
 

@@ -1,6 +1,7 @@
 """Single-cell model: pulses, reset/set sampling, gradual staircase, reads."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from pcmxbar.device import (
     apply_full_set,
     apply_gradual_set,
     decay_log_steps,
-    gradual_step_fraction,
     lognormal_sigma,
     sample_device_factor,
     sample_reset_resistance,
@@ -264,21 +264,32 @@ def test_staircase_floor_is_fixed_point():
     assert cell.resistance == params.r_set_floor
 
 
-def test_gradual_step_fraction_default_and_tail():
+# a draw source whose every normal is zero: a gradual SET takes its bare step
+ZERO_NOISE = SimpleNamespace(standard_normal=lambda: 0.0)
+
+
+def test_log_step_table_default_and_tail():
     params = DeviceParams()
-    for k in (1, 5, 9):
-        assert gradual_step_fraction(params, k) == pytest.approx(1.0 / 9.0, rel=1e-15)
+    table = params.log_step_table
+    assert table.tolist() == [1.0 / 9.0 * params.log_swing] * 9
     # pulses past the schedule keep using the last entry
-    assert gradual_step_fraction(params, 15) == pytest.approx(1.0 / 9.0, rel=1e-15)
+    assert decay_log_steps(params, 14) == table[-1]
+    cell = fresh_cell()
+    cell.pulses_applied = 14
+    cell, _ = apply_gradual_set(cell, params, ZERO_NOISE)
+    assert cell.resistance == 3.0e6 * math.exp(-table[-1])
+    assert cell.pulses_applied == 15
 
 
-def test_gradual_step_fraction_custom_schedule():
+def test_log_step_table_custom_schedule():
     params = DeviceParams(decay_schedule=(0.5, 0.25))
-    assert gradual_step_fraction(params, 1) == 0.5
-    assert gradual_step_fraction(params, 2) == 0.25
-    assert gradual_step_fraction(params, 7) == 0.25
-    with pytest.raises(ParameterError):
-        gradual_step_fraction(params, 0)
+    L = params.log_swing
+    assert params.log_step_table.tolist() == [0.5 * L, 0.25 * L]
+    for pulses, fraction in ((0, 0.5), (1, 0.25), (6, 0.25)):
+        cell = fresh_cell()
+        cell.pulses_applied = pulses
+        cell, _ = apply_gradual_set(cell, params, ZERO_NOISE)
+        assert cell.resistance == 3.0e6 * math.exp(-(fraction * L))
 
 
 @settings(max_examples=100, deadline=None)
@@ -297,9 +308,11 @@ def test_scalar_step_matches_the_array_step(params):
     ks = np.arange(3 * length + 1)
     steps = decay_log_steps(params, ks)
     for k in ks:
-        scalar = gradual_step_fraction(params, int(k) + 1) * params.log_swing
-        assert scalar == decay_log_steps(params, int(k))
-        assert scalar == steps[k]
+        cell = fresh_cell()
+        cell.pulses_applied = int(k)
+        cell, _ = apply_gradual_set(cell, params, ZERO_NOISE)
+        assert cell.resistance == max(params.r_set_floor, 3.0e6 * math.exp(-steps[k]))
+        assert steps[k] == decay_log_steps(params, int(k))
 
 
 def test_custom_schedule_steps_zero_noise():

@@ -8,6 +8,8 @@ energies and errors on every geometry, firing set, pulse history, schedule
 and memory layout.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,7 +196,7 @@ def test_epoch_loop_builds_no_indices():
     def run():
         arr = build_array(ArrayGeometry(), params, calibrated_variation(0.60), 4)
         return run_learning(arr, PATTERN_ONE, MISSING_PIXEL_ONE, config, training_stream(4),
-                            continue_after_recall=True).to_dict()
+                            threshold=math.inf).to_dict()
 
     warm = run()
     before = firing_plan.cache_info()

@@ -260,8 +260,8 @@ def scalar_characterization(params, variation, cycles, seed):
 
 
 def test_pre_drawn_characterization_matches_scalar_draws():
-    # characterize_device raises unless its cell ops take exactly the normals
-    # it drew, so returning at all shows the count; the tables show the order
+    # the normals come in blocks of harness._DRAW_BLOCK; the tables show the
+    # ops take the draws a single generator would give them, in order
     for cycles in range(1, 13):
         for levels in range(1, 13):
             params = DeviceParams(gradual_levels=levels, sigma_c2c=0.05 * (levels % 4))
@@ -273,22 +273,12 @@ def test_pre_drawn_characterization_matches_scalar_draws():
     assert characterize_device(calibrated, VariationSpec(cv=0.4), 10, 3) == (
         scalar_characterization(calibrated, VariationSpec(cv=0.4), 10, 3)
     )
-
-
-@pytest.mark.parametrize("extra", [-1, 1])
-def test_characterization_with_a_wrong_draw_count_raises(monkeypatch, extra):
-    def miscounted(seed):
-        rng = characterization_stream(seed)
-
-        class Stream:
-            def standard_normal(self, n):
-                return rng.standard_normal(n + extra)
-
-        return Stream()
-
-    monkeypatch.setattr(harness, "characterization_stream", miscounted)
-    with pytest.raises(RuntimeError, match="normals drawn"):
-        characterize_device(DeviceParams(), VariationSpec(cv=0.24), 3, 0)
+    # 783 and 1,143 draws: past one block and past two
+    assert harness._DRAW_BLOCK < 783 and 2 * harness._DRAW_BLOCK < 1143
+    for cycles in (40, 60):
+        assert characterize_device(calibrated, VariationSpec(cv=0.24), cycles, 5) == (
+            scalar_characterization(calibrated, VariationSpec(cv=0.24), cycles, 5)
+        )
 
 
 def test_characterize_structure_and_files(tmp_path):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from pcmxbar.crossbar import ArrayGeometry, build_array, resistance_map
 from pcmxbar.device import DeviceParams, VariationSpec
 from pcmxbar.errors import ParameterError, PcmxbarError, ProtocolError
-from pcmxbar.calibrated import CALIBRATED_DECAY_SCHEDULE
+from pcmxbar.calibrated import CALIBRATED_DECAY_SCHEDULE, training_stream
 from pcmxbar.hopfield import (
     MISSING_PIXEL_ONE,
     MISSING_PIXEL_TWO,
@@ -246,19 +246,66 @@ def test_threshold_override_and_nonconvergence():
 
 
 def test_trajectory_after_recall():
+    # threshold infinity never recalls, so the run records every epoch of the budget
     arr = zero_array()
     cfg = NetworkConfig(max_epochs=12)
-    trace = run_learning(
-        arr, PATTERN_ONE, 6, cfg, training_rng(1), continue_after_recall=True
-    )
-    assert trace.epochs_to_recall == 2
+    trace = run_learning(arr, PATTERN_ONE, 6, cfg, training_rng(1), threshold=math.inf)
+    assert trace.epochs_to_recall is None
     assert len(trace.epochs) == 12
     assert len(trace.normalized_maps) == 13
     seq = [ep.recall_currents[6] for ep in trace.epochs]
+    threshold = compute_threshold(arr.initial_resistance, cfg)
+    assert next(e for e, i in enumerate(seq, start=1) if i > threshold) == 2
     for i in range(8):  # strict rise down the staircase
         assert seq[i] < seq[i + 1]
     assert seq[9] >= seq[8]
     assert seq[10] == seq[11]  # cells pinned at the floor
+
+
+def train_through_budget(arr, pattern, missing, config, rng):
+    """Reference: ``train_epoch`` on every epoch of the budget against the real threshold."""
+    partial = Pattern.from_on(pattern.on - {missing}, pattern.n)
+    threshold = compute_threshold(arr.initial_resistance, config)
+    return [
+        train_epoch(arr, pattern, partial, threshold, config, rng.spawn(1)[0], epoch)
+        for epoch in range(1, config.max_epochs + 1)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cv=st.sampled_from((0.0, 0.09, 0.24, 0.40, 0.60)) | st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**33),
+    max_epochs=st.integers(min_value=1, max_value=30),
+    c_factor=st.floats(min_value=0.5, max_value=3.0),
+    v_read=st.floats(min_value=0.0, max_value=0.5),
+)
+@example(cv=0.60, seed=3, max_epochs=30, c_factor=2.0, v_read=0.1)
+@example(cv=0.09, seed=0, max_epochs=30, c_factor=2.0, v_read=0.1)
+def test_infinite_threshold_trains_through_the_budget(cv, seed, max_epochs, c_factor, v_read):
+    params = DeviceParams(sigma_c2c=0.03, decay_schedule=CALIBRATED_DECAY_SCHEDULE)
+    cfg = NetworkConfig(c_factor=c_factor, v_read=v_read, max_epochs=max_epochs)
+    variation = VariationSpec(cv=cv)
+    arr = build_array(ArrayGeometry(), params, variation, seed)
+    trace = run_learning(
+        arr, PATTERN_ONE, MISSING_PIXEL_ONE, cfg, training_stream(seed),
+        threshold=math.inf, record_maps=False,
+    )
+    arr = build_array(ArrayGeometry(), params, variation, seed)
+    expected = train_through_budget(
+        arr, PATTERN_ONE, MISSING_PIXEL_ONE, cfg, training_stream(seed)
+    )
+    assert not trace.converged
+    assert len(trace.epochs) == len(expected) == max_epochs
+    for got, want in zip(trace.epochs, expected):
+        assert got.epoch_index == want.epoch_index
+        assert got.recall_currents == want.recall_currents
+        assert list(got.recall_currents) == list(want.recall_currents)
+        assert got.program_event_count == want.program_event_count
+        assert got.program_energy == want.program_energy
+        assert got.read_energy == want.read_energy
+        assert got.epoch_energy == want.epoch_energy
+        assert not got.fired
 
 
 def test_two_pattern_protocol_shares_threshold():

@@ -15,7 +15,13 @@ from pcmxbar.config import default_run_config
 from pcmxbar.crossbar import ArrayGeometry, build_array
 from pcmxbar.device import DeviceParams, VariationSpec
 from pcmxbar.errors import OutputError, ProtocolError
-from pcmxbar.hopfield import MISSING_PIXEL_ONE, PATTERN_ONE, NetworkConfig, run_learning
+from pcmxbar.hopfield import (
+    MISSING_PIXEL_ONE,
+    PATTERN_ONE,
+    NetworkConfig,
+    compute_threshold,
+    run_learning,
+)
 from pcmxbar.metrics import (
     DEFAULT_PERTURBATION_GRID,
     SensitivityResult,
@@ -181,31 +187,33 @@ def test_sensitivity_first_epoch_margin_is_threshold_gap():
 def full_trajectory_sensitivity(params, variation, network, seed, *, grid=DEFAULT_PERTURBATION_GRID):
     """Brute-force reference: train through the whole budget, scan every epoch."""
     arr = build_array(ArrayGeometry(), params, variation, seed)
+    threshold = compute_threshold(arr.initial_resistance, network)
     trace = run_learning(
         arr, PATTERN_ONE, MISSING_PIXEL_ONE, network, training_stream(seed),
-        record_maps=False, continue_after_recall=True,
+        threshold=math.inf, record_maps=False,
     )
-    if not trace.converged:
+    currents = [ep.recall_currents[MISSING_PIXEL_ONE] for ep in trace.epochs]
+
+    def first_crossing(scaled):
+        return next((e for e, i in enumerate(scaled, start=1) if i > threshold), None)
+
+    base = first_crossing(currents)
+    if base is None:
         raise ProtocolError(
             f"baseline run (cv={variation.cv}, seed={seed}) never recalled; "
             "sensitivity is undefined without a baseline"
         )
-    currents = [ep.recall_currents[MISSING_PIXEL_ONE] for ep in trace.epochs]
-
-    def first_crossing(scaled):
-        return next((e for e, i in enumerate(scaled, start=1) if i > trace.threshold), None)
-
     min_delta = direction = None
     for d in grid:
-        up_flip = first_crossing([(1.0 + d) * i for i in currents]) != trace.epochs_to_recall
-        down_flip = first_crossing([(1.0 - d) * i for i in currents]) != trace.epochs_to_recall
+        up_flip = first_crossing([(1.0 + d) * i for i in currents]) != base
+        down_flip = first_crossing([(1.0 - d) * i for i in currents]) != base
         if up_flip or down_flip:
             min_delta = d
             direction = "both" if (up_flip and down_flip) else ("up" if up_flip else "down")
             break
     return SensitivityResult(
-        cv=variation.cv, seed=seed, v_read=network.v_read, threshold=trace.threshold,
-        base_epochs=trace.epochs_to_recall, grid=tuple(grid),
+        cv=variation.cv, seed=seed, v_read=network.v_read, threshold=threshold,
+        base_epochs=base, grid=tuple(grid),
         min_relative_perturbation=min_delta, flip_direction=direction,
     )
 

@@ -1,6 +1,6 @@
-"""Module layout guards: one home for the seed streams and for the provenance
-header, a light config import, and every function the benchmark traces
-still defined."""
+"""Module layout guards: one home for the seed streams, for the provenance
+header and for deleting outputs, a light config import, and every function
+the benchmark traces still defined."""
 
 import importlib
 import json
@@ -38,6 +38,16 @@ def test_provenance_header_built_in_one_module():
         if '"params_hash"' in path.read_text()
     )
     assert owners == ["harness.py"]
+
+
+def test_outputs_deleted_in_one_module():
+    # _io.remove_stale is the one rule for which earlier outputs go
+    owners = sorted(
+        path.name
+        for path in (SRC / "pcmxbar").glob("*.py")
+        if any(call in path.read_text() for call in ("os.unlink", ".unlink(", "os.remove("))
+    )
+    assert owners == ["_io.py"]
 
 
 def test_benchmark_call_targets_are_defined():
