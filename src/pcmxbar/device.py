@@ -233,7 +233,9 @@ def decay_log_steps(params: DeviceParams, pulses_applied: np.ndarray) -> np.ndar
     """Vectorized log-space step sizes for cells with the given pulse counts.
 
     ``pulses_applied`` holds pulses already seen, so cell i is about to take
-    pulse ``pulses_applied[i] + 1``. The steps are looked up in
+    pulse ``pulses_applied[i] + 1``; every count must be >= 0, and this hot
+    path does not check it (a negative one would read the table from its
+    end). The steps are looked up in
     ``params.log_step_table``, built once per ``DeviceParams``; pulses past
     its end take its last entry. Used by the array update kernel and the
     cohort engine; the scalar cell op ``apply_gradual_set`` reads the same
@@ -250,7 +252,10 @@ def apply_gradual_set(
 
     The resistance contracts by the scheduled log step plus lognormal jitter,
     clamped at the SET floor. The cell object is mutated and returned.
+    A negative pulse count raises ``ParameterError``.
     """
+    if cell.pulses_applied < 0:
+        raise ParameterError(f"pulses_applied must be >= 0, got {cell.pulses_applied}")
     table = params.log_step_table
     step = table.item(min(cell.pulses_applied, len(table) - 1))
     eps = params.sigma_c2c * rng.standard_normal()

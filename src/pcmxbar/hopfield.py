@@ -393,11 +393,24 @@ def run_cohort(
     children are seeded from words that ``stream_words`` hashes for many seeds
     at once: the build roots up front, the children in blocks of
     ``_EPOCH_BLOCK`` epochs for the seeds still training, so memory does not
-    grow with ``max_epochs``. Every epoch updates, reads and threshold-tests
-    all active arrays in one stack of shape ``(runs, rows, cols)``, with the
-    scalar path's elementwise operations in the scalar path's order. Repeated
-    seeds are simulated once. Bad patterns raise the same errors as
-    ``run_learning``, before any stream is hashed or any array is built.
+    grow with ``max_epochs``. Repeated seeds are simulated once. Bad patterns
+    raise the same errors as ``run_learning``, before any stream is hashed or
+    any array is built.
+
+    The epoch loop holds only what the live runs need, in small contiguous
+    arrays: each run's stored (pattern x pattern) cells, the only ones a
+    Hebbian update touches; its read-block conductances, whose columns off
+    the pattern never change and are computed once from the as-built map;
+    its threshold, its read energy so far and its row among the live seeds.
+    Every epoch updates the stored cells, refreshes the read block's
+    (cue, missing) cells from them and reads all live runs with the scalar
+    path's elementwise operations in the scalar path's order. Runs that
+    recall are dropped by one mask, and the live seeds, their child words
+    and the run-to-seed map are rebuilt only then; while every live run has
+    a seed of its own, in seed order, the draws need no map at all. The read
+    block stays C-contiguous, so each run's block sums as one flat pairwise
+    reduction, as the scalar ``(cue, sensed)`` block does; a strided block
+    would sum in another order and move the read energy by an ULP.
     """
     geometry = geometry or ArrayGeometry()
     variations = [VariationSpec(cv=float(cv), device_share=device_share) for cv in cvs]
@@ -411,55 +424,76 @@ def run_cohort(
         z_dev[u], z_cyc[u] = build_draws(word_generator(words), shape)
     # run r is cv r // len(unique) on seed unique[r % len(unique)]
     resistance = np.empty((len(variations) * len(unique), *shape))
-    thresholds = np.empty(len(resistance))
+    threshold = np.empty(len(resistance))
     for i, v in enumerate(variations):
         rows = slice(i * len(unique), (i + 1) * len(unique))
         resistance[rows] = as_built_resistance(
             params, v.sigma_device, v.sigma_cycle, z_dev, z_cyc
         )
-        thresholds[rows] = compute_threshold(resistance[rows], config)
+        threshold[rows] = compute_threshold(resistance[rows], config)
     del z_dev, z_cyc
 
-    on = np.array(sorted(pattern.on), dtype=np.intp) - 1
+    on = sorted(pattern.on)
     cue = sorted(partial.on)
     sensed = [b for b in range(1, geometry.cols + 1) if b not in cue]
-    read_block = (np.array(cue, dtype=np.intp) - 1, np.array(sensed, dtype=np.intp) - 1)
     missing = sensed.index(missing_pixel)
+    on_rows, cue_rows, sensed_cols = (np.array(a) - 1 for a in (on, cue, sensed))
+    stored = resistance[:, on_rows[:, None], on_rows].reshape(-1, len(on) ** 2)
+    # the read block's only stored cells: its (cue, missing) ones, flat in a stored row
+    column = np.array([on.index(c) * len(on) + on.index(missing_pixel) for c in cue])
+    read = np.empty((len(resistance), len(cue), len(sensed)))  # C-contiguous, see above
+    np.divide(1.0, resistance[:, cue_rows[:, None], sensed_cols], out=read)
+    del resistance
     read_cost = config.v_read**2 * config.read_duration
 
-    epochs = np.zeros(len(resistance), dtype=np.int64)
-    converged = np.zeros(len(resistance), dtype=bool)
-    read_energy = np.zeros(len(resistance))
-    active = np.arange(len(resistance))
+    epochs = np.full(len(stored), config.max_epochs, dtype=np.int64)
+    converged = np.zeros(len(stored), dtype=bool)
+    read_energy = np.zeros(len(stored))
+    run = np.arange(len(stored))  # the live runs' global indices
+    energy = np.zeros(len(stored))  # the live runs' read energy so far
+    live = np.arange(len(unique))  # the live seeds, as indices into unique
+    # each live run's row among the live seeds; own: each run's row is its own
+    seed_row, own = np.tile(live, len(variations)), len(variations) == 1
+    draws = np.empty((len(unique), len(on) ** 2))
     for epoch in range(1, config.max_epochs + 1):
-        if not active.size:
+        if not run.size:
             break
-        # one child per seed still training: spawn index epoch - 1 of its root
-        seed_index = active % len(unique)
-        live = np.unique(seed_index)
         offset = (epoch - 1) % _EPOCH_BLOCK
-        if offset == 0:
-            block_seeds = live
-            block_words = stream_words(
-                [unique[u] for u in live], TRAINING, range(epoch - 1, epoch - 1 + _EPOCH_BLOCK)
-            )[0]
-        words = block_words[np.searchsorted(block_seeds, live), offset]
-        z = np.array([word_generator(w).standard_normal(on.size**2) for w in words])
+        if offset == 0:  # epoch k draws from child k - 1 of each live seed's training root
+            keys = range(epoch - 1, epoch - 1 + _EPOCH_BLOCK)
+            words = stream_words([unique[u] for u in live], TRAINING, keys)[0]
+        z = draws[: live.size]
+        for w, row in zip(words[:, offset], z):
+            word_generator(w).standard_normal(out=row)
+        z *= params.sigma_c2c
         # on a fresh array every stored cell has taken epoch - 1 pulses
-        gain = np.exp(-decay_log_steps(params, epoch - 1) + params.sigma_c2c * z)
-        gain = gain[np.searchsorted(live, seed_index)].reshape(-1, on.size, on.size)
-        block = np.ix_(active, on, on)
-        resistance[block] = np.maximum(params.r_set_floor, resistance[block] * gain)
+        z -= decay_log_steps(params, epoch - 1)
+        np.exp(z, out=z)
+        stored *= z if own else z.take(seed_row, axis=0)
+        np.maximum(stored, params.r_set_floor, out=stored)
+        np.divide(1.0, stored.take(column, axis=1), out=read[:, :, missing])
 
-        # each run's block sums like the scalar (cue, sensed) block: one flat reduce
-        g = 1.0 / resistance[np.ix_(active, *read_block)]
-        read_energy[active] += read_cost * g.reshape(len(active), -1).sum(axis=1)
-        recalled = config.v_read * g.sum(axis=1)[:, missing] > thresholds[active]
-        epochs[active] = epoch
-        converged[active] = recalled
-        active = active[~recalled]
+        energy += read_cost * read.reshape(run.size, -1).sum(axis=1)
+        # the missing bitline's current, summed down the cue rows in order
+        current = read[:, 0, missing]
+        for i in range(1, len(cue)):
+            current = current + read[:, i, missing]
+        recalled = config.v_read * current > threshold
+        if not recalled.any():
+            continue
+        done = run[recalled]
+        epochs[done], converged[done], read_energy[done] = epoch, True, energy[recalled]
+        run, stored, read, threshold, energy, seed_row = (
+            a[~recalled] for a in (run, stored, read, threshold, energy, seed_row)
+        )
+        still = np.zeros(live.size, dtype=bool)
+        still[seed_row] = True
+        live, words = live[still], words[still]
+        seed_row = (np.cumsum(still) - 1)[seed_row]
+        own = np.array_equal(seed_row, np.arange(live.size))
+    read_energy[run] = energy
 
-    total_energy = (on.size**2 * epochs) * params.e_prog + read_energy
+    total_energy = (len(on) ** 2 * epochs) * params.e_prog + read_energy
     columns = np.searchsorted(unique, seeds)
     grid = (len(variations), len(unique))
     return CohortOutcome(

@@ -10,6 +10,7 @@ monotone, so these two products decide for every epoch of the run.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,12 +145,16 @@ def variation_sweep(
 ) -> list[dict]:
     """Median epochs and energy per variation level, widest distribution first.
 
-    ``seeds`` is either a count (runs seeds 0..n-1) or an explicit iterable.
+    ``seeds`` is either a count (runs seeds 0..n-1; numpy integers count too)
+    or an explicit iterable.
     Every (cv, seed) run stores pattern one on a default 10x10 array through
     the batched ``run_cohort`` engine, which matches ``run_learning`` bit for
     bit; ``sweep_rows`` turns its outcomes into the table.
     """
-    seed_list = list(range(seeds)) if isinstance(seeds, int) else [int(s) for s in seeds]
+    try:
+        seed_list = list(range(operator.index(seeds)))
+    except TypeError:  # not an integral count: the seeds themselves
+        seed_list = [int(s) for s in seeds]
     if not seed_list:
         raise ParameterError("sweep needs at least one seed")
     levels = sorted(set(float(c) for c in cvs), reverse=True)

@@ -281,6 +281,13 @@ def test_log_step_table_default_and_tail():
     assert cell.pulses_applied == 15
 
 
+def test_gradual_set_rejects_a_negative_pulse_count():
+    cell = CellState(resistance=1e6, pulses_applied=-1)
+    with pytest.raises(ParameterError, match="pulses_applied"):
+        apply_gradual_set(cell, calibrated_device_params(sigma_c2c=0.0), ZERO_NOISE)
+    assert cell.resistance == 1e6 and cell.pulses_applied == -1
+
+
 def test_log_step_table_custom_schedule():
     params = DeviceParams(decay_schedule=(0.5, 0.25))
     L = params.log_swing

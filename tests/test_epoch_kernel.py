@@ -209,3 +209,29 @@ def test_epoch_loop_builds_no_indices():
     assert params.log_step_table is table
     assert again == warm
     assert len(again["epochs"]) == 30
+
+
+def test_cohort_loop_does_no_per_epoch_index_work(monkeypatch):
+    # at c_factor 1e6 no run ever recalls, so both cohorts train every run
+    # through their whole budget: no count may grow with it
+    calls = dict.fromkeys(("ix_", "unique", "searchsorted"), 0)
+
+    def counting(name, real):
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
+    params = calibrated_device_params()
+    counts = []
+    for max_epochs in (10, 30):
+        calls.update(dict.fromkeys(calls, 0))
+        config = NetworkConfig(c_factor=1e6, max_epochs=max_epochs)
+        cohort = hopfield.run_cohort((0.60, 0.09), (3, 4, 3), params, config)
+        assert not cohort.converged.any() and (cohort.epochs == max_epochs).all()
+        counts.append(dict(calls))
+    assert counts[0]["ix_"] == 0
+    assert counts[0] == counts[1]

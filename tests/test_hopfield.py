@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 from pcmxbar.crossbar import ArrayGeometry, build_array, resistance_map
 from pcmxbar.device import DeviceParams, VariationSpec
 from pcmxbar.errors import ParameterError, PcmxbarError, ProtocolError
-from pcmxbar.calibrated import CALIBRATED_DECAY_SCHEDULE, training_stream
+from pcmxbar.calibrated import (
+    CALIBRATED_DECAY_SCHEDULE,
+    CALIBRATED_DEVICE_SHARE,
+    calibrated_device_params,
+    training_stream,
+)
 from pcmxbar.hopfield import (
     MISSING_PIXEL_ONE,
     MISSING_PIXEL_TWO,
@@ -466,6 +471,62 @@ def test_run_cohort_memory_does_not_grow_with_the_budget():
     assert np.array_equal(short.read_energy, long.read_energy)
     assert np.array_equal(short.total_energy, long.total_energy)
     assert peak < 2 * 2**20
+
+
+def _scalar_cohort(cvs, seeds, params, cfg):
+    """``run_cohort(cvs, seeds)``, each outcome checked with ``==`` against ``run_learning``."""
+    cohort = run_cohort(cvs, seeds, params, cfg)
+    for i, cv in enumerate(cvs):
+        for j, seed in enumerate(seeds):
+            variation = VariationSpec(cv, CALIBRATED_DEVICE_SHARE)
+            arr = build_array(ArrayGeometry(), params, variation, seed)
+            trace = run_learning(
+                arr, PATTERN_ONE, MISSING_PIXEL_ONE, cfg, training_rng(seed), record_maps=False
+            )
+            assert cohort.converged[i, j] == trace.converged
+            assert cohort.epochs[i, j] == len(trace.epochs)
+            assert cohort.read_energy[i, j] == trace.read_energy
+            assert cohort.total_energy[i, j] == trace.total_energy
+    return cohort
+
+
+@pytest.mark.parametrize("cvs, seeds", [((0.60,), (4,)), ((0.60,), (4, 9)), ((0.60, 0.40), (4,))])
+def test_one_and_two_run_cohorts_match_run_learning_at_every_budget(cvs, seeds):
+    params = calibrated_device_params()
+    for max_epochs in range(1, 31):
+        cohort = _scalar_cohort(cvs, seeds, params, NetworkConfig(max_epochs=max_epochs))
+    # every run recalls within 30 epochs but not in the first, so the smaller
+    # budgets stop it unconverged and the larger ones after its recall
+    assert cohort.converged.all() and (cohort.epochs > 1).all()
+
+
+def test_cohort_where_every_run_hits_the_budget():
+    cfg = NetworkConfig(c_factor=1e6, max_epochs=20)
+    cohort = _scalar_cohort((0.60, 0.24, 0.09), (2, 7, 2, 11), calibrated_device_params(), cfg)
+    assert not cohort.converged.any()
+    assert (cohort.epochs == 20).all()
+
+
+def test_cohort_tail_with_one_seed_per_run():
+    # every cv 0.09 run recalls in epoch 1, so from epoch 2 on each live run
+    # has a seed of its own
+    cohort = _scalar_cohort((0.60, 0.09), range(6), calibrated_device_params(), NetworkConfig())
+    assert (cohort.epochs[1] == 1).all()
+    assert (cohort.epochs[0] > 1).all() and cohort.converged.all()
+
+
+@pytest.mark.parametrize("cvs, seeds", [((0.60, 0.09), ()), ((), (3, 4, 3)), ((), ())])
+def test_empty_cohorts(cvs, seeds):
+    cohort = run_cohort(cvs, seeds, calibrated_device_params(), NetworkConfig())
+    assert cohort.cvs == cvs and cohort.seeds == seeds
+    for values, dtype in (
+        (cohort.epochs, np.int64),
+        (cohort.converged, bool),
+        (cohort.read_energy, float),
+        (cohort.total_energy, float),
+    ):
+        assert values.shape == (len(cvs), len(seeds))
+        assert values.dtype == dtype
 
 
 def test_threshold_stack_shape_and_type():

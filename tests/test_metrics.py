@@ -306,6 +306,12 @@ def test_variation_sweep_deterministic():
     assert variation_sweep((0.24,), **kw) == variation_sweep((0.24,), **kw)
 
 
+def test_variation_sweep_takes_a_numpy_integer_count():
+    kw = dict(params=CAL_PARAMS, network=NetworkConfig())
+    rows = variation_sweep((0.60,), np.int64(3), **kw)
+    assert rows == variation_sweep((0.60,), 3, **kw) == variation_sweep((0.60,), [0, 1, 2], **kw)
+
+
 def test_readme_sweep_table_matches_quick_start_sweep():
     # the README table is what `pcmxbar sweep` writes with the default config
     cfg = default_run_config()
