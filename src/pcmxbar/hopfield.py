@@ -406,11 +406,10 @@ def run_cohort(
     (cue, missing) cells from them and reads all live runs with the scalar
     path's elementwise operations in the scalar path's order. Runs that
     recall are dropped by one mask, and the live seeds, their child words
-    and the run-to-seed map are rebuilt only then; while every live run has
-    a seed of its own, in seed order, the draws need no map at all. The read
-    block stays C-contiguous, so each run's block sums as one flat pairwise
-    reduction, as the scalar ``(cue, sensed)`` block does; a strided block
-    would sum in another order and move the read energy by an ULP.
+    and the run-to-seed map are rebuilt only then. The read block stays
+    C-contiguous, so each run's block sums as one flat pairwise reduction,
+    as the scalar ``(cue, sensed)`` block does; a strided block would sum in
+    another order and move the read energy by an ULP.
     """
     geometry = geometry or ArrayGeometry()
     variations = [VariationSpec(cv=float(cv), device_share=device_share) for cv in cvs]
@@ -452,8 +451,7 @@ def run_cohort(
     run = np.arange(len(stored))  # the live runs' global indices
     energy = np.zeros(len(stored))  # the live runs' read energy so far
     live = np.arange(len(unique))  # the live seeds, as indices into unique
-    # each live run's row among the live seeds; own: each run's row is its own
-    seed_row, own = np.tile(live, len(variations)), len(variations) == 1
+    seed_row = np.tile(live, len(variations))  # each live run's row among the live seeds
     draws = np.empty((len(unique), len(on) ** 2))
     for epoch in range(1, config.max_epochs + 1):
         if not run.size:
@@ -469,15 +467,12 @@ def run_cohort(
         # on a fresh array every stored cell has taken epoch - 1 pulses
         z -= decay_log_steps(params, epoch - 1)
         np.exp(z, out=z)
-        stored *= z if own else z.take(seed_row, axis=0)
+        stored *= z.take(seed_row, axis=0)
         np.maximum(stored, params.r_set_floor, out=stored)
         np.divide(1.0, stored.take(column, axis=1), out=read[:, :, missing])
 
         energy += read_cost * read.reshape(run.size, -1).sum(axis=1)
-        # the missing bitline's current, summed down the cue rows in order
-        current = read[:, 0, missing]
-        for i in range(1, len(cue)):
-            current = current + read[:, i, missing]
+        current = read.sum(axis=1)[:, missing]
         recalled = config.v_read * current > threshold
         if not recalled.any():
             continue
@@ -490,7 +485,6 @@ def run_cohort(
         still[seed_row] = True
         live, words = live[still], words[still]
         seed_row = (np.cumsum(still) - 1)[seed_row]
-        own = np.array_equal(seed_row, np.arange(live.size))
     read_energy[run] = energy
 
     total_energy = (len(on) ** 2 * epochs) * params.e_prog + read_energy

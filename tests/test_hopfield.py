@@ -428,12 +428,44 @@ def test_trace_serializes_to_json():
     schedule=CALIBRATED_DECAY_SCHEDULE,
     stored=(PATTERN_ONE, MISSING_PIXEL_ONE),
 )
+@example(  # no run ever recalls: every one stops unconverged at the budget
+    seeds=[2, 7, 2, 11],
+    cvs=[0.60, 0.24, 0.09],
+    max_epochs=20,
+    c_factor=1e6,
+    sigma_c2c=0.03,
+    device_share=0.8,
+    schedule=CALIBRATED_DECAY_SCHEDULE,
+    stored=(PATTERN_ONE, MISSING_PIXEL_ONE),
+)
+@example(  # every cv 0.09 run recalls in epoch 1, so the tail has one seed per run
+    seeds=[0, 1, 2, 3, 4, 5],
+    cvs=[0.60, 0.09],
+    max_epochs=100,
+    c_factor=2.0,
+    sigma_c2c=0.03,
+    device_share=0.8,
+    schedule=CALIBRATED_DECAY_SCHEDULE,
+    stored=(PATTERN_ONE, MISSING_PIXEL_ONE),
+)
 def test_run_cohort_matches_run_learning(
     seeds, cvs, max_epochs, c_factor, sigma_c2c, device_share, schedule, stored
 ):
-    pattern, missing = stored
     params = DeviceParams(sigma_c2c=sigma_c2c, decay_schedule=schedule)
     cfg = NetworkConfig(c_factor=c_factor, max_epochs=max_epochs)
+    _assert_cohort_matches_run_learning(cvs, seeds, params, cfg, device_share, *stored)
+
+
+def _assert_cohort_matches_run_learning(
+    cvs,
+    seeds,
+    params,
+    cfg,
+    device_share=CALIBRATED_DEVICE_SHARE,
+    pattern=PATTERN_ONE,
+    missing=MISSING_PIXEL_ONE,
+):
+    """Check ``run_cohort`` with ``==`` against ``run_learning`` on every pair; return it."""
     cohort = run_cohort(
         cvs, seeds, params, cfg, device_share=device_share, pattern=pattern, missing_pixel=missing
     )
@@ -453,6 +485,7 @@ def test_run_cohort_matches_run_learning(
             maps.append(arr.initial_resistance)
             thresholds.append(trace.threshold)
     assert compute_threshold(np.array(maps), cfg).tolist() == thresholds
+    return cohort
 
 
 def test_run_cohort_memory_does_not_grow_with_the_budget():
@@ -473,46 +506,15 @@ def test_run_cohort_memory_does_not_grow_with_the_budget():
     assert peak < 2 * 2**20
 
 
-def _scalar_cohort(cvs, seeds, params, cfg):
-    """``run_cohort(cvs, seeds)``, each outcome checked with ``==`` against ``run_learning``."""
-    cohort = run_cohort(cvs, seeds, params, cfg)
-    for i, cv in enumerate(cvs):
-        for j, seed in enumerate(seeds):
-            variation = VariationSpec(cv, CALIBRATED_DEVICE_SHARE)
-            arr = build_array(ArrayGeometry(), params, variation, seed)
-            trace = run_learning(
-                arr, PATTERN_ONE, MISSING_PIXEL_ONE, cfg, training_rng(seed), record_maps=False
-            )
-            assert cohort.converged[i, j] == trace.converged
-            assert cohort.epochs[i, j] == len(trace.epochs)
-            assert cohort.read_energy[i, j] == trace.read_energy
-            assert cohort.total_energy[i, j] == trace.total_energy
-    return cohort
-
-
 @pytest.mark.parametrize("cvs, seeds", [((0.60,), (4,)), ((0.60,), (4, 9)), ((0.60, 0.40), (4,))])
 def test_one_and_two_run_cohorts_match_run_learning_at_every_budget(cvs, seeds):
     params = calibrated_device_params()
     for max_epochs in range(1, 31):
-        cohort = _scalar_cohort(cvs, seeds, params, NetworkConfig(max_epochs=max_epochs))
+        cfg = NetworkConfig(max_epochs=max_epochs)
+        cohort = _assert_cohort_matches_run_learning(cvs, seeds, params, cfg)
     # every run recalls within 30 epochs but not in the first, so the smaller
     # budgets stop it unconverged and the larger ones after its recall
     assert cohort.converged.all() and (cohort.epochs > 1).all()
-
-
-def test_cohort_where_every_run_hits_the_budget():
-    cfg = NetworkConfig(c_factor=1e6, max_epochs=20)
-    cohort = _scalar_cohort((0.60, 0.24, 0.09), (2, 7, 2, 11), calibrated_device_params(), cfg)
-    assert not cohort.converged.any()
-    assert (cohort.epochs == 20).all()
-
-
-def test_cohort_tail_with_one_seed_per_run():
-    # every cv 0.09 run recalls in epoch 1, so from epoch 2 on each live run
-    # has a seed of its own
-    cohort = _scalar_cohort((0.60, 0.09), range(6), calibrated_device_params(), NetworkConfig())
-    assert (cohort.epochs[1] == 1).all()
-    assert (cohort.epochs[0] > 1).all() and cohort.converged.all()
 
 
 @pytest.mark.parametrize("cvs, seeds", [((0.60, 0.09), ()), ((), (3, 4, 3)), ((), ())])
