@@ -3,9 +3,12 @@
 State lives in dense numpy arrays (one entry per cell) rather than objects,
 which keeps the 25-cell update phase and the column-sum reads vectorized.
 The indices an update or a read needs depend only on the firing set and the
-geometry, so ``firing_plan`` builds them once per set and caches them: a
-training epoch gathers and scatters its cells by flat index and reads its
-block without building an index array.
+geometry, so ``firing_plan`` builds them once per set and caches them:
+``apply_update_phase`` gathers and scatters its cells by flat index and
+``read_recall_currents`` reads its block without building an index array.
+Training in ``hopfield`` takes the same indices once per run, gathers the
+stored cells and the read block once, and writes the cells back only when
+it records a map and when the run ends.
 
 Indexing convention: wordlines and bitlines are 1-based in every public
 signature, matching how the neurons are numbered. Array storage is 0-based

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .calibrated import BUILD, CALIBRATED_DEVICE_SHARE, TRAINING, stream_words, 
 from .crossbar import (
     ArrayGeometry,
     CrossbarState,
-    apply_update_phase,
     as_built_resistance,
     build_draws,
     firing_plan,
@@ -251,11 +251,91 @@ def check_shipped_patterns(config: NetworkConfig) -> None:
     _cue(ArrayGeometry(), PATTERN_TWO, MISSING_PIXEL_TWO, config)
 
 
-def _read_energy(array: CrossbarState, cue, config: NetworkConfig) -> float:
+class _RunPlan(NamedTuple):
+    """The indices a run needs, fixed by its geometry, pattern and cue; arrays are read-only."""
+
+    flat: np.ndarray  # C-order flat index of each stored (pattern x pattern) cell, row-major
+    read_block: tuple[np.ndarray, np.ndarray]  # np.ix_(cue rows, sensed columns)
+    sensed: tuple[int, ...]  # the bitlines read, ascending
+    hidden: slice | np.ndarray  # columns of the pattern's sensed bitlines in the read block
+    refresh: np.ndarray  # (cue, hidden): index among the stored cells of each such read cell
+    missing: frozenset  # the pattern's pixels outside the cue
+
+
+def _plan(geometry: ArrayGeometry, pattern: Pattern, partial: Pattern) -> _RunPlan:
+    update = firing_plan(pattern.on, geometry.rows, geometry.cols)
+    read = firing_plan(partial.on, geometry.rows, geometry.cols)
+    on, n = update.neurons, len(update.neurons)
+    hidden = [b for b in read.sensed if b in pattern.on]
+    columns = [read.sensed.index(b) for b in hidden]
+    step = columns[1] - columns[0] if len(columns) > 1 else 1
+    if columns == list(range(columns[0], columns[-1] + 1, step)):
+        columns = slice(columns[0], columns[-1] + 1, step)  # a view writes at half the cost
+    else:
+        columns = np.array(columns, dtype=np.intp)
+        columns.flags.writeable = False
+    refresh = np.array(
+        [[on.index(c) * n + on.index(b) for b in hidden] for c in read.neurons], dtype=np.intp
+    )
+    refresh.flags.writeable = False
+    return _RunPlan(update.flat, read.read_block, read.sensed, columns, refresh,
+                    pattern.on - partial.on)
+
+
+@lru_cache(maxsize=16)
+def _run_plan(geometry: ArrayGeometry, pattern: Pattern, missing_pixel: int, config) -> _RunPlan:
+    """``_plan`` of the cue ``_cue`` checks, built once per key."""
+    return _plan(geometry, pattern, _cue(geometry, pattern, missing_pixel, config))
+
+
+def _gather(array: CrossbarState, plan: _RunPlan):
+    """The stored cells, their pulse counts and the read block's conductances, as new arrays."""
+    return (
+        array.resistance.take(plan.flat),
+        array.pulses_applied.take(plan.flat),
+        1.0 / array.resistance[plan.read_block],
+    )
+
+
+def _pulse(stored, read, z, steps, plan: _RunPlan, params: DeviceParams) -> None:
+    """One Hebbian update of the stored cells, then a refresh of the read block's stored cells.
+
+    ``stored`` and ``read`` are one run's stored cells and read-block
+    conductances, or a stack of runs' on a leading axis; ``z`` holds a
+    run's (or each run's) normal draws and is consumed, ``steps`` the log
+    steps of the pulses about to be taken. Elementwise, every value is the
+    one ``apply_update_phase`` and ``read_recall_currents`` compute:
+    ``max(R * exp(-step + sigma_c2c * z), floor)`` and ``1 / R``.
+    """
+    z *= params.sigma_c2c
+    z -= steps
+    np.exp(z, out=z)
+    stored *= z
+    np.maximum(stored, params.r_set_floor, out=stored)
+    read[..., plan.hidden] = 1.0 / stored.take(plan.refresh, axis=-1)
+
+
+def _epoch(stored, pulses, read, plan, pattern, threshold, config, params, rng, epoch_index):
+    """One scalar epoch on gathered state: pulse, read every sensed bitline, compare."""
+    _pulse(stored, read, rng.standard_normal(len(stored)), decay_log_steps(params, pulses),
+           plan, params)
+    pulses += 1
+    currents = dict(zip(plan.sensed, (config.v_read * read.sum(axis=0)).tolist()))
+    fired = frozenset(b for b, i in currents.items() if i > threshold)
+    program_energy = len(stored) * params.e_prog
     # every sensed column dissipates v^2/R in the cue cells for the read window
-    block = firing_plan(frozenset(cue), array.geometry.rows, array.geometry.cols).read_block
-    g = 1.0 / array.resistance[block]
-    return config.v_read**2 * config.read_duration * float(g.sum())
+    read_energy = config.v_read**2 * config.read_duration * float(read.sum())
+    return EpochResult(
+        epoch_index=epoch_index,
+        program_event_count=len(stored),
+        recall_currents=currents,
+        fired=fired,
+        recalled=plan.missing <= fired,
+        false_firings=fired - pattern.on,
+        program_energy=program_energy,
+        read_energy=read_energy,
+        epoch_energy=program_energy + read_energy,
+    )
 
 
 def train_epoch(
@@ -271,25 +351,19 @@ def train_epoch(
 
     Firing is strict: a bitline fires only when its current exceeds the
     threshold, never at equality. The membrane has no memory between epochs;
-    each recall is a fresh read.
+    each recall is a fresh read. This is ``run_learning``'s epoch on state
+    gathered from ``array`` and written back to it: the pattern's stored
+    cells and their pulse counts, and the cue's read block, of which only
+    the (cue, pattern minus cue) cells change.
     """
     _check_patterns(array.geometry, pattern, partial, config)
-    cells, program_energy = apply_update_phase(array, pattern.on, rng)
-    currents = read_recall_currents(array, partial.on, config.v_read)
-    fired = frozenset(b for b, i in currents.items() if i > threshold)
-    missing = pattern.on - partial.on
-    read_energy = _read_energy(array, partial.on, config)
-    return EpochResult(
-        epoch_index=epoch_index,
-        program_event_count=len(cells),
-        recall_currents=currents,
-        fired=fired,
-        recalled=missing <= fired,
-        false_firings=fired - pattern.on,
-        program_energy=program_energy,
-        read_energy=read_energy,
-        epoch_energy=program_energy + read_energy,
-    )
+    plan = _plan(array.geometry, pattern, partial)
+    stored, pulses, read = _gather(array, plan)
+    result = _epoch(stored, pulses, read, plan, pattern, threshold, config, array.params, rng,
+                    epoch_index)
+    array.resistance.put(plan.flat, stored)
+    array.pulses_applied.put(plan.flat, pulses)
+    return result
 
 
 def run_learning(
@@ -310,22 +384,35 @@ def run_learning(
     ``math.inf`` never recalls, so the run trains through ``max_epochs`` and
     records the full current trajectory, as the fig6 tables do.
     Non-convergence is a reported outcome, not an error.
+
+    The run gathers its state once: the pattern's stored cells with their
+    pulse counts, and the cue's read-block conductances. Its indices and
+    cue are looked up once per (geometry, pattern, missing pixel, config).
+    Each epoch then updates the stored cells and refreshes only the read
+    block's (cue, missing) cells, with ``train_epoch``'s arithmetic.
+    The stored cells are written back to ``array.resistance`` before each
+    recorded map and at the end, and the pulse counts at the end.
     """
-    partial = _cue(array.geometry, pattern, missing_pixel, config)
+    plan = _run_plan(array.geometry, pattern, missing_pixel, config)
     if threshold is None:
         threshold = compute_threshold(array.initial_resistance, config)
     maps = [resistance_map(array)] if record_maps else []
+    stored, pulses, read = _gather(array, plan)
+    params = array.params
     epochs: list[EpochResult] = []
     epochs_to_recall = None
     for epoch in range(1, config.max_epochs + 1):
-        child = rng.spawn(1)[0]
-        result = train_epoch(array, pattern, partial, threshold, config, child, epoch)
+        result = _epoch(stored, pulses, read, plan, pattern, threshold, config, params,
+                        rng.spawn(1)[0], epoch)
         epochs.append(result)
         if record_maps:
+            array.resistance.put(plan.flat, stored)
             maps.append(resistance_map(array))
         if result.recalled:
             epochs_to_recall = epoch
             break
+    array.resistance.put(plan.flat, stored)
+    array.pulses_applied.put(plan.flat, pulses)
     count = sum(ep.program_event_count for ep in epochs)
     # explicit left-to-right float sum: from Python 3.12 on, sum() compensates
     # float rounding and would move the last bits; run_cohort adds in this order
@@ -402,9 +489,10 @@ def run_cohort(
     Hebbian update touches; its read-block conductances, whose columns off
     the pattern never change and are computed once from the as-built map;
     its threshold, its read energy so far and its row among the live seeds.
-    Every epoch updates the stored cells, refreshes the read block's
-    (cue, missing) cells from them and reads all live runs with the scalar
-    path's elementwise operations in the scalar path's order. Runs that
+    Every epoch gathers each live run's draws by its seed row, then updates
+    the stored cells and refreshes the read block's (cue, missing) cells
+    through the step ``run_learning`` takes, and reads all live runs with
+    the scalar path's elementwise operations in its order. Runs that
     recall are dropped by one mask, and the live seeds, their child words
     and the run-to-seed map are rebuilt only then. The read block stays
     C-contiguous, so each run's block sums as one flat pairwise reduction,
@@ -414,7 +502,7 @@ def run_cohort(
     geometry = geometry or ArrayGeometry()
     variations = [VariationSpec(cv=float(cv), device_share=device_share) for cv in cvs]
     seeds = tuple(int(s) for s in seeds)
-    partial = _cue(geometry, pattern, missing_pixel, config)
+    plan = _run_plan(geometry, pattern, missing_pixel, config)
 
     unique = sorted(set(seeds))
     shape = (geometry.rows, geometry.cols)
@@ -432,17 +520,12 @@ def run_cohort(
         threshold[rows] = compute_threshold(resistance[rows], config)
     del z_dev, z_cyc
 
-    on = sorted(pattern.on)
-    cue = sorted(partial.on)
-    sensed = [b for b in range(1, geometry.cols + 1) if b not in cue]
-    missing = sensed.index(missing_pixel)
-    on_rows, cue_rows, sensed_cols = (np.array(a) - 1 for a in (on, cue, sensed))
-    stored = resistance[:, on_rows[:, None], on_rows].reshape(-1, len(on) ** 2)
-    # the read block's only stored cells: its (cue, missing) ones, flat in a stored row
-    column = np.array([on.index(c) * len(on) + on.index(missing_pixel) for c in cue])
-    read = np.empty((len(resistance), len(cue), len(sensed)))  # C-contiguous, see above
-    np.divide(1.0, resistance[:, cue_rows[:, None], sensed_cols], out=read)
+    stored = resistance.reshape(len(resistance), shape[0] * shape[1]).take(plan.flat, axis=1)
+    cue_rows, sensed_cols = plan.read_block
+    read = np.empty((len(resistance), cue_rows.size, sensed_cols.size))  # C-contiguous, see above
+    np.divide(1.0, resistance[:, cue_rows, sensed_cols], out=read)
     del resistance
+    missing = plan.sensed.index(missing_pixel)
     read_cost = config.v_read**2 * config.read_duration
 
     epochs = np.full(len(stored), config.max_epochs, dtype=np.int64)
@@ -452,7 +535,7 @@ def run_cohort(
     energy = np.zeros(len(stored))  # the live runs' read energy so far
     live = np.arange(len(unique))  # the live seeds, as indices into unique
     seed_row = np.tile(live, len(variations))  # each live run's row among the live seeds
-    draws = np.empty((len(unique), len(on) ** 2))
+    draws = np.empty((len(unique), plan.flat.size))
     for epoch in range(1, config.max_epochs + 1):
         if not run.size:
             break
@@ -463,13 +546,9 @@ def run_cohort(
         z = draws[: live.size]
         for w, row in zip(words[:, offset], z):
             word_generator(w).standard_normal(out=row)
-        z *= params.sigma_c2c
         # on a fresh array every stored cell has taken epoch - 1 pulses
-        z -= decay_log_steps(params, epoch - 1)
-        np.exp(z, out=z)
-        stored *= z.take(seed_row, axis=0)
-        np.maximum(stored, params.r_set_floor, out=stored)
-        np.divide(1.0, stored.take(column, axis=1), out=read[:, :, missing])
+        _pulse(stored, read, z.take(seed_row, axis=0), decay_log_steps(params, epoch - 1),
+               plan, params)
 
         energy += read_cost * read.reshape(run.size, -1).sum(axis=1)
         current = read.sum(axis=1)[:, missing]
@@ -487,7 +566,7 @@ def run_cohort(
         seed_row = (np.cumsum(still) - 1)[seed_row]
     read_energy[run] = energy
 
-    total_energy = (len(on) ** 2 * epochs) * params.e_prog + read_energy
+    total_energy = (plan.flat.size * epochs) * params.e_prog + read_energy
     columns = np.searchsorted(unique, seeds)
     grid = (len(variations), len(unique))
     return CohortOutcome(

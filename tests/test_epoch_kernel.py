@@ -6,21 +6,45 @@ arrays and ``np.ix_`` block on every call and multiplies the schedule by the
 swing after indexing. The kernel must give the same state, cells, currents,
 energies and errors on every geometry, firing set, pulse history, schedule
 and memory layout.
+
+``reference_epoch`` is the scalar epoch as it was composed before
+``run_learning`` gathered its run's state: ``apply_update_phase`` on the
+array, then ``read_recall_currents``, then the read block's energy. Runs,
+two-pattern protocols and ``train_epoch`` loops must match it with ``==``.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcmxbar import crossbar, device, hopfield
 from pcmxbar.calibrated import calibrated_device_params, calibrated_variation, training_stream
-from pcmxbar.crossbar import ArrayGeometry, CrossbarState, build_array, firing_plan
+from pcmxbar.crossbar import (
+    ArrayGeometry,
+    CrossbarState,
+    build_array,
+    firing_plan,
+    resistance_map,
+)
 from pcmxbar.device import DeviceParams, VariationSpec
 from pcmxbar.errors import ParameterError
-from pcmxbar.hopfield import MISSING_PIXEL_ONE, PATTERN_ONE, NetworkConfig, run_learning
+from pcmxbar.hopfield import (
+    MISSING_PIXEL_ONE,
+    MISSING_PIXEL_TWO,
+    PATTERN_ONE,
+    PATTERN_TWO,
+    EpochResult,
+    LearningTrace,
+    NetworkConfig,
+    Pattern,
+    compute_threshold,
+    run_learning,
+    run_two_pattern_protocol,
+    train_epoch,
+)
 
 # -- oracle -------------------------------------------------------------------
 
@@ -80,6 +104,54 @@ def oracle_read_energy(array, cue, config):
     return config.v_read**2 * config.read_duration * float(g.sum())
 
 
+def reference_epoch(array, pattern, partial, threshold, config, rng, epoch_index=1):
+    """One epoch through the array primitives: update, read the cue, sum the read energy."""
+    cells, program_energy = crossbar.apply_update_phase(array, pattern.on, rng)
+    currents = crossbar.read_recall_currents(array, partial.on, config.v_read)
+    fired = frozenset(b for b, i in currents.items() if i > threshold)
+    read_energy = oracle_read_energy(array, partial.on, config)
+    return EpochResult(
+        epoch_index=epoch_index,
+        program_event_count=len(cells),
+        recall_currents=currents,
+        fired=fired,
+        recalled=pattern.on - partial.on <= fired,
+        false_firings=fired - pattern.on,
+        program_energy=program_energy,
+        read_energy=read_energy,
+        epoch_energy=program_energy + read_energy,
+    )
+
+
+def reference_run(array, pattern, missing, config, rng, *, threshold=None, record_maps=True):
+    """``run_learning`` over ``reference_epoch``: one spawned child per epoch, stop at recall."""
+    partial = Pattern.from_on(pattern.on - {missing}, pattern.n)
+    if threshold is None:
+        threshold = compute_threshold(array.initial_resistance, config)
+    maps = [resistance_map(array)] if record_maps else []
+    epochs = []
+    for epoch in range(1, config.max_epochs + 1):
+        epochs.append(reference_epoch(array, pattern, partial, threshold, config,
+                                      rng.spawn(1)[0], epoch))
+        if record_maps:
+            maps.append(resistance_map(array))
+        if epochs[-1].recalled:
+            break
+    count = sum(ep.program_event_count for ep in epochs)
+    read_energy = 0.0
+    for ep in epochs:
+        read_energy += ep.read_energy
+    program_energy = count * array.params.e_prog
+    recalled = epochs[-1].recalled
+    return LearningTrace(
+        pattern=pattern, missing_pixel=missing, threshold=threshold,
+        variation_cv=array.variation.cv, seed=array.seed, epochs=epochs,
+        converged=recalled, epochs_to_recall=len(epochs) if recalled else None,
+        normalized_maps=maps, program_event_count=count, program_energy=program_energy,
+        read_energy=read_energy, total_energy=program_energy + read_energy,
+    )
+
+
 # -- cases --------------------------------------------------------------------
 
 SCHEDULES = {
@@ -100,7 +172,7 @@ def _outcome(fn, *args):
 def _layout(values: np.ndarray, layout: str) -> np.ndarray:
     """``values`` held C-ordered, Fortran-ordered, or as a strided view of a larger buffer."""
     if layout == "C":
-        return np.ascontiguousarray(values)
+        return np.array(values, order="C")  # a copy, so two arrays never share a buffer
     if layout == "F":
         return np.asfortranarray(values)
     rows, cols = values.shape
@@ -142,11 +214,13 @@ def _state(array):
     layout=st.sampled_from(["C", "F", "strided"]),
     phases=st.lists(st.lists(st.integers(-1, 9), max_size=9), min_size=1, max_size=4),
     v_read=st.floats(0.0, 1.0),
+    extra=st.sets(st.integers(1, 7), min_size=1, max_size=3),
 )
-def test_kernel_matches_the_oracle(schedule, rows, cols, seed, max_pulses, layout, phases, v_read):
+def test_kernel_matches_the_oracle(
+    schedule, rows, cols, seed, max_pulses, layout, phases, v_read, extra
+):
     params = SCHEDULES[schedule]
     new, old = _arrays(params, rows, cols, seed, max_pulses, layout)
-    config = NetworkConfig(v_read=v_read)
     limit = min(rows, cols)
     for k, firing in enumerate(phases):  # lists: duplicates and any order
         got = _outcome(crossbar.apply_update_phase, new, firing, np.random.default_rng(k))
@@ -160,13 +234,30 @@ def test_kernel_matches_the_oracle(schedule, rows, cols, seed, max_pulses, layou
         if isinstance(got, dict):
             assert list(got) == list(want)
         if all(1 <= n <= limit for n in firing):
-            cue = frozenset(firing)
-            assert hopfield._read_energy(new, cue, config) == oracle_read_energy(old, cue, config)
-            plan = firing_plan(cue, rows, cols)
+            plan = firing_plan(frozenset(firing), rows, cols)
             arrays = (plan.flat, *plan.read_block)
             assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ParameterError):
         crossbar.read_recall_currents(new, [1], -v_read - 1.0)
+
+    # train_epoch on a square array of the same draws, each cue inside a pattern
+    # of it and ``extra``: its currents and read energy against the oracle's
+    new, old = _arrays(params, rows, rows, seed, max_pulses, layout)
+    for k, firing in enumerate(phases):
+        cue = set(firing)
+        on = cue | {n for n in extra if n <= rows}
+        if not cue or not all(1 <= n <= rows for n in cue) or on == cue:
+            continue
+        pattern, partial = Pattern.from_on(on, rows), Pattern.from_on(cue, rows)
+        config = NetworkConfig(v_read=v_read, recall_on_count=len(cue))
+        got = train_epoch(new, pattern, partial, 0.0, config, np.random.default_rng(k), k)
+        oracle_apply_update_phase(old, on, np.random.default_rng(k))
+        want = oracle_read_recall_currents(old, cue, v_read)
+        assert got.recall_currents == want
+        assert list(got.recall_currents) == list(want)
+        assert got.read_energy == oracle_read_energy(old, cue, config)
+        for a, b in zip(_state(new), _state(old)):
+            assert np.array_equal(a, b)
 
 
 @settings(max_examples=100, deadline=None)
@@ -187,28 +278,117 @@ def test_step_table_matches_the_oracle(schedule, pulses):
     assert not params.log_step_table.flags.writeable
 
 
-def test_epoch_loop_builds_no_indices():
-    # one warm run fills the plan cache; a second run through every epoch
-    # must find each firing set's plan and the step table already built
-    params = calibrated_device_params()
-    config = NetworkConfig(max_epochs=30)
+def _programmed(params, cv, seed, max_pulses, layout):
+    """Two equal as-built arrays of ``seed``, each cell already past 0..``max_pulses`` pulses."""
+    arrays = []
+    for _ in range(2):
+        arr = build_array(ArrayGeometry(), params, calibrated_variation(cv), seed)
+        pulses = np.random.default_rng(seed).integers(0, max_pulses + 1, arr.pulses_applied.shape)
+        arr.resistance = _layout(arr.resistance, layout)
+        arr.pulses_applied = _layout(pulses, layout)
+        arrays.append(arr)
+    return arrays
 
-    def run():
+
+def _epochs(epoch, array, pattern, partial, threshold, config, rng):
+    """``epoch`` on one spawned child per epoch until the pattern recalls or the budget ends."""
+    epochs = []
+    for k in range(1, config.max_epochs + 1):
+        epochs.append(epoch(array, pattern, partial, threshold, config, rng.spawn(1)[0], k))
+        if epochs[-1].recalled:
+            break
+    return [ep.to_dict() for ep in epochs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    schedule=st.sampled_from(sorted(SCHEDULES)),
+    cv=st.sampled_from((0.0, 0.09, 0.24, 0.60)),
+    seed=st.integers(0, 2**32 - 1),
+    max_pulses=st.integers(0, 30),
+    layout=st.sampled_from(["C", "F", "strided"]),
+    threshold=st.sampled_from([None, math.inf]),
+    record_maps=st.booleans(),
+    max_epochs=st.integers(1, 30),
+    protocol=st.sampled_from(["run_learning", "run_two_pattern_protocol"])
+    | st.integers(1, 4).map(lambda cue: ("train_epoch", cue)),
+)
+@example(  # a 3-pixel cue leaves pixels 4 and 6 sensed: 6 fires from epoch 9, 4 only in 11
+    schedule="calibrated", cv=0.60, seed=0, max_pulses=0, layout="C", threshold=None,
+    record_maps=True, max_epochs=30, protocol=("train_epoch", 3),
+)
+def test_scalar_runs_match_the_reference(
+    schedule, cv, seed, max_pulses, layout, threshold, record_maps, max_epochs, protocol
+):
+    # ("train_epoch", k) trains pattern one from its first k pixels, with the
+    # threshold of a k-pixel cue; the two-pattern protocol records maps at its threshold
+    params = SCHEDULES[schedule]
+    new, old = _programmed(params, cv, seed, max_pulses, layout)
+    config = NetworkConfig(max_epochs=max_epochs)
+    if protocol == "run_learning":
+        got = [run_learning(new, PATTERN_ONE, MISSING_PIXEL_ONE, config, training_stream(seed),
+                            threshold=threshold, record_maps=record_maps)]
+        want = [reference_run(old, PATTERN_ONE, MISSING_PIXEL_ONE, config, training_stream(seed),
+                              threshold=threshold, record_maps=record_maps)]
+    elif protocol == "run_two_pattern_protocol":
+        got = run_two_pattern_protocol(new, config, training_stream(seed))
+        rng = training_stream(seed)
+        want = [reference_run(old, pattern, missing, config, rng,
+                              threshold=compute_threshold(old.initial_resistance, config))
+                for pattern, missing in ((PATTERN_ONE, MISSING_PIXEL_ONE),
+                                         (PATTERN_TWO, MISSING_PIXEL_TWO))]
+    else:
+        config = NetworkConfig(max_epochs=max_epochs, recall_on_count=protocol[1])
+        partial = Pattern.from_on(sorted(PATTERN_ONE.on)[: protocol[1]], PATTERN_ONE.n)
+        if threshold is None:
+            threshold = compute_threshold(old.initial_resistance, config)
+        got, want = (
+            _epochs(epoch, arr, PATTERN_ONE, partial, threshold, config, training_stream(seed))
+            for epoch, arr in ((train_epoch, new), (reference_epoch, old))
+        )
+        assert got == want
+        got, want = [], []
+    for g, w in zip(got, want, strict=True):
+        assert g.to_dict() == w.to_dict()
+        assert len(g.normalized_maps) == len(w.normalized_maps)
+        for a, b in zip(g.normalized_maps, w.normalized_maps):
+            assert np.array_equal(a, b)
+    for a, b in zip(_state(new), _state(old)):
+        assert np.array_equal(a, b)
+
+
+def test_epoch_loop_builds_no_indices(monkeypatch):
+    # one warm run fills the caches; a warm run then looks up no firing plan
+    # and calls no np.ix_ inside its epoch loop, so 30 epochs cost 10's lookups
+    ix_calls = []
+    real_ix = np.ix_
+
+    def counting_ix(*args):
+        ix_calls.append(args)
+        return real_ix(*args)
+
+    monkeypatch.setattr(np, "ix_", counting_ix)
+    params = calibrated_device_params()
+
+    def run(max_epochs):
         arr = build_array(ArrayGeometry(), params, calibrated_variation(0.60), 4)
+        config = NetworkConfig(max_epochs=max_epochs)
         return run_learning(arr, PATTERN_ONE, MISSING_PIXEL_ONE, config, training_stream(4),
                             threshold=math.inf).to_dict()
 
-    warm = run()
-    before = firing_plan.cache_info()
-    table = params.log_step_table
-    again = run()
-    after = firing_plan.cache_info()
-    assert after.misses == before.misses
-    # each epoch looks its plans up three times: update, currents, read energy
-    assert after.hits == before.hits + 3 * config.max_epochs
-    assert params.log_step_table is table
-    assert again == warm
-    assert len(again["epochs"]) == 30
+    lookups = []
+    for max_epochs in (10, 30):
+        warm = run(max_epochs)
+        table = params.log_step_table
+        before, ix_before = firing_plan.cache_info(), len(ix_calls)
+        again = run(max_epochs)
+        after = firing_plan.cache_info()
+        lookups.append((after.hits + after.misses - before.hits - before.misses,
+                        len(ix_calls) - ix_before))
+        assert params.log_step_table is table
+        assert again == warm
+        assert len(again["epochs"]) == max_epochs
+    assert lookups[0] == lookups[1] == (0, 0)
 
 
 def test_cohort_loop_does_no_per_epoch_index_work(monkeypatch):

@@ -33,6 +33,7 @@ from pcmxbar.hopfield import (
     run_two_pattern_protocol,
     train_epoch,
 )
+from test_epoch_kernel import reference_epoch
 
 ALPHA = (1.0e4 / 3.0e6) ** (1.0 / 9.0)
 ZERO_VAR = VariationSpec(cv=0.0)
@@ -268,11 +269,11 @@ def test_trajectory_after_recall():
 
 
 def train_through_budget(arr, pattern, missing, config, rng):
-    """Reference: ``train_epoch`` on every epoch of the budget against the real threshold."""
+    """Reference: ``reference_epoch`` on every epoch of the budget against the real threshold."""
     partial = Pattern.from_on(pattern.on - {missing}, pattern.n)
     threshold = compute_threshold(arr.initial_resistance, config)
     return [
-        train_epoch(arr, pattern, partial, threshold, config, rng.spawn(1)[0], epoch)
+        reference_epoch(arr, pattern, partial, threshold, config, rng.spawn(1)[0], epoch)
         for epoch in range(1, config.max_epochs + 1)
     ]
 
