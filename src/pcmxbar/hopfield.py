@@ -216,7 +216,8 @@ class LearningTrace:
         }
 
 
-def _check_patterns(geometry: ArrayGeometry, pattern: Pattern, partial: Pattern, config):
+def _check_patterns(geometry: ArrayGeometry, pattern: Pattern, partial: Pattern,
+                    recall_on_count: int):
     n = geometry.rows
     if geometry.cols != n:
         raise ProtocolError("recurrent network needs a square array")
@@ -226,18 +227,19 @@ def _check_patterns(geometry: ArrayGeometry, pattern: Pattern, partial: Pattern,
         )
     if not partial.on < pattern.on:
         raise ProtocolError("partial cue must be a proper subset of the stored pattern")
-    if len(partial.on) != config.recall_on_count:
+    if len(partial.on) != recall_on_count:
         raise ProtocolError(
-            f"cue has {len(partial.on)} pixels, recall expects {config.recall_on_count}"
+            f"cue has {len(partial.on)} pixels, recall expects {recall_on_count}"
         )
 
 
-def _cue(geometry: ArrayGeometry, pattern: Pattern, missing_pixel: int, config) -> Pattern:
+def _cue(geometry: ArrayGeometry, pattern: Pattern, missing_pixel: int,
+         recall_on_count: int) -> Pattern:
     """The partial cue of ``pattern`` without ``missing_pixel``, checked for a run on ``geometry``."""
     if missing_pixel not in pattern.on:
         raise ProtocolError(f"missing pixel {missing_pixel} is not part of the pattern")
     partial = Pattern.from_on(pattern.on - {missing_pixel}, pattern.n)
-    _check_patterns(geometry, pattern, partial, config)
+    _check_patterns(geometry, pattern, partial, recall_on_count)
     return partial
 
 
@@ -247,8 +249,8 @@ def check_shipped_patterns(config: NetworkConfig) -> None:
     Lets a command that trains them reject its network settings before it
     creates any output directory.
     """
-    _cue(ArrayGeometry(), PATTERN_ONE, MISSING_PIXEL_ONE, config)
-    _cue(ArrayGeometry(), PATTERN_TWO, MISSING_PIXEL_TWO, config)
+    _cue(ArrayGeometry(), PATTERN_ONE, MISSING_PIXEL_ONE, config.recall_on_count)
+    _cue(ArrayGeometry(), PATTERN_TWO, MISSING_PIXEL_TWO, config.recall_on_count)
 
 
 class _RunPlan(NamedTuple):
@@ -257,7 +259,7 @@ class _RunPlan(NamedTuple):
     flat: np.ndarray  # C-order flat index of each stored (pattern x pattern) cell, row-major
     read_block: tuple[np.ndarray, np.ndarray]  # np.ix_(cue rows, sensed columns)
     sensed: tuple[int, ...]  # the bitlines read, ascending
-    hidden: slice | np.ndarray  # columns of the pattern's sensed bitlines in the read block
+    hidden: np.ndarray  # columns of the pattern's sensed bitlines in the read block
     refresh: np.ndarray  # (cue, hidden): index among the stored cells of each such read cell
     missing: frozenset  # the pattern's pixels outside the cue
 
@@ -267,25 +269,21 @@ def _plan(geometry: ArrayGeometry, pattern: Pattern, partial: Pattern) -> _RunPl
     read = firing_plan(partial.on, geometry.rows, geometry.cols)
     on, n = update.neurons, len(update.neurons)
     hidden = [b for b in read.sensed if b in pattern.on]
-    columns = [read.sensed.index(b) for b in hidden]
-    step = columns[1] - columns[0] if len(columns) > 1 else 1
-    if columns == list(range(columns[0], columns[-1] + 1, step)):
-        columns = slice(columns[0], columns[-1] + 1, step)  # a view writes at half the cost
-    else:
-        columns = np.array(columns, dtype=np.intp)
-        columns.flags.writeable = False
+    columns = np.array([read.sensed.index(b) for b in hidden], dtype=np.intp)
     refresh = np.array(
         [[on.index(c) * n + on.index(b) for b in hidden] for c in read.neurons], dtype=np.intp
     )
-    refresh.flags.writeable = False
+    for a in (columns, refresh):
+        a.flags.writeable = False
     return _RunPlan(update.flat, read.read_block, read.sensed, columns, refresh,
                     pattern.on - partial.on)
 
 
 @lru_cache(maxsize=16)
-def _run_plan(geometry: ArrayGeometry, pattern: Pattern, missing_pixel: int, config) -> _RunPlan:
+def _run_plan(geometry: ArrayGeometry, pattern: Pattern, missing_pixel: int,
+              recall_on_count: int) -> _RunPlan:
     """``_plan`` of the cue ``_cue`` checks, built once per key."""
-    return _plan(geometry, pattern, _cue(geometry, pattern, missing_pixel, config))
+    return _plan(geometry, pattern, _cue(geometry, pattern, missing_pixel, recall_on_count))
 
 
 def _gather(array: CrossbarState, plan: _RunPlan):
@@ -356,7 +354,7 @@ def train_epoch(
     cells and their pulse counts, and the cue's read block, of which only
     the (cue, pattern minus cue) cells change.
     """
-    _check_patterns(array.geometry, pattern, partial, config)
+    _check_patterns(array.geometry, pattern, partial, config.recall_on_count)
     plan = _plan(array.geometry, pattern, partial)
     stored, pulses, read = _gather(array, plan)
     result = _epoch(stored, pulses, read, plan, pattern, threshold, config, array.params, rng,
@@ -387,13 +385,13 @@ def run_learning(
 
     The run gathers its state once: the pattern's stored cells with their
     pulse counts, and the cue's read-block conductances. Its indices and
-    cue are looked up once per (geometry, pattern, missing pixel, config).
+    cue are looked up once per (geometry, pattern, missing pixel, cue size).
     Each epoch then updates the stored cells and refreshes only the read
     block's (cue, missing) cells, with ``train_epoch``'s arithmetic.
     The stored cells are written back to ``array.resistance`` before each
     recorded map and at the end, and the pulse counts at the end.
     """
-    plan = _run_plan(array.geometry, pattern, missing_pixel, config)
+    plan = _run_plan(array.geometry, pattern, missing_pixel, config.recall_on_count)
     if threshold is None:
         threshold = compute_threshold(array.initial_resistance, config)
     maps = [resistance_map(array)] if record_maps else []
@@ -502,7 +500,7 @@ def run_cohort(
     geometry = geometry or ArrayGeometry()
     variations = [VariationSpec(cv=float(cv), device_share=device_share) for cv in cvs]
     seeds = tuple(int(s) for s in seeds)
-    plan = _run_plan(geometry, pattern, missing_pixel, config)
+    plan = _run_plan(geometry, pattern, missing_pixel, config.recall_on_count)
 
     unique = sorted(set(seeds))
     shape = (geometry.rows, geometry.cols)
@@ -525,7 +523,6 @@ def run_cohort(
     read = np.empty((len(resistance), cue_rows.size, sensed_cols.size))  # C-contiguous, see above
     np.divide(1.0, resistance[:, cue_rows, sensed_cols], out=read)
     del resistance
-    missing = plan.sensed.index(missing_pixel)
     read_cost = config.v_read**2 * config.read_duration
 
     epochs = np.full(len(stored), config.max_epochs, dtype=np.int64)
@@ -551,7 +548,7 @@ def run_cohort(
                plan, params)
 
         energy += read_cost * read.reshape(run.size, -1).sum(axis=1)
-        current = read.sum(axis=1)[:, missing]
+        current = read.sum(axis=1)[:, plan.hidden].ravel()  # the one missing pixel's column
         recalled = config.v_read * current > threshold
         if not recalled.any():
             continue
