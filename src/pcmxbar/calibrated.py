@@ -19,13 +19,12 @@ array, ``(seed, 1)`` drives training, ``(seed, 2)`` drives single-cell
 characterization. Epoch k of a run draws from the training root's k-th
 spawned child, ``SeedSequence((seed, 1), spawn_key=(k - 1,))``.
 
-Single runs derive their roots through ``SeedSequence``. Cohorts hash the
-same seed words for many seeds and spawn indices at once with
-``stream_words``, which reproduces NumPy's ``SeedSequence`` mixing (NEP 19)
-on ``uint32`` arrays, and seed each ``PCG64`` from them with
-``word_generator``. A single run's training root hashes the words of each
-child it spawns from its own mixed pool, with plain integers, in place of
-building the child ``SeedSequence``. The draws are the same bit for bit.
+Every stream is seeded through one state hash, ``_pcg64_words``: NumPy's
+``SeedSequence.generate_state`` (NEP 19) on ``uint32`` arrays of mixed
+pools. A root hashes its ``SeedSequence`` pool, child k that pool with its
+hashed key word mixed in (``_children``). A run's training root hashes its
+children 16 at a time; cohorts mix many seeds' pools at once (``_pools``),
+as ``stream_words`` does. The draws are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -106,26 +105,29 @@ BUILD, TRAINING, CHARACTERIZATION = 0, 1, 2
 
 def seed_sequence(seed: int, stream: int, spawn_key=()) -> np.random.SeedSequence:
     """Root ``SeedSequence`` of one stream of ``seed``, or its child at ``spawn_key``."""
+    if seed < 0 or min(spawn_key, default=0) < 0:
+        raise ParameterError(f"seeds and spawn keys must be >= 0, got {seed} and {spawn_key}")
     return np.random.SeedSequence((seed, stream), spawn_key=spawn_key)
 
 
 def build_stream(seed: int) -> np.random.Generator:
     """Array build: device factors, then cycle draws."""
-    return np.random.default_rng(seed_sequence(seed, BUILD))
+    return word_generator(_pcg64_words(seed_sequence(seed, BUILD).pool))
 
 
 def training_stream(seed: int) -> np.random.Generator:
     """Training root: each epoch spawns its own child from it.
 
     Its seed sequence counts the children spawned through the generator,
-    its bit generator or itself alike, and hashes each child's seed words
-    from the root's pool by index, as ``SeedSequence.spawn`` would.
+    its bit generator or itself alike, and serves each from a block of
+    ``_EPOCH_BLOCK`` children hashed from the root's pool, drawing what
+    ``SeedSequence.spawn``'s child would.
     """
     return np.random.default_rng(_indexed_root_type()(seed, TRAINING))
 
 
 def characterization_stream(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed_sequence(seed, CHARACTERIZATION))
+    return word_generator(_pcg64_words(seed_sequence(seed, CHARACTERIZATION).pool))
 
 
 # SeedSequence's 32-bit hash (NEP 19), with NumPy's constants: the hash
@@ -133,8 +135,11 @@ def characterization_stream(seed: int) -> np.random.Generator:
 # fixed and precomputed
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = 0xCA01F9DD, 0x4973F715, 16
+# uint32 scalars: a Python int operand costs the ufunc a conversion per call
+_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
 _POOL = 4
+# children hashed at a time: a training root's block, a cohort's epoch block
+_EPOCH_BLOCK = 16
 
 
 def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
@@ -146,7 +151,7 @@ def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
 
 
 # entropy mixing: 4 pool words, 12 cross-mixes, then 4 for one spawn-key word;
-# the state: 8 uint32 words, two per uint64
+# the state: 8 uint32 words, word j hashed from pool word j % 4, two per uint64
 _ENTROPY_HASH = _hash_constants(_INIT_A, _MULT_A, _POOL**2 + _POOL)
 _STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
 
@@ -162,11 +167,64 @@ def _mix(x, y):
 
 
 def _pcg64_words(pool: np.ndarray) -> np.ndarray:
-    """``generate_state(4, np.uint64)`` of pools held lane-first, words on the last axis."""
-    const = _STATE_HASH.reshape(2, 2, _POOL, *[1] * (pool.ndim - 1))
-    state = _hashmix(pool, const).reshape(2 * _POOL, *pool.shape[1:]).astype(np.uint64)
-    # copied so every row of four words is contiguous, as word_generator needs
-    return np.moveaxis(state[0::2] | state[1::2] << 32, 0, -1).copy()
+    """``generate_state(4, np.uint64)`` of each mixed pool ``pool[..., 4]``: ``[..., 4]`` words."""
+    state = _hashmix(np.concatenate((pool, pool), axis=-1), _STATE_HASH)
+    # each pair of little-endian uint32 words is one uint64, as generate_state reads them
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _pools(seeds: list[int], stream: int) -> np.ndarray:
+    """Mixed pool of each seed's ``stream`` root, ``(len(seeds), 4)``, as ``SeedSequence.pool``.
+
+    A seed below 2**32 is one entropy word, hashed here for all seeds at
+    once; a wider seed's pool is its ``SeedSequence``'s own.
+    """
+    if any(s < 0 for s in seeds):
+        raise ParameterError("seeds must be >= 0")
+    entropy = np.zeros((len(seeds), _POOL), dtype=np.uint32)
+    entropy[:, 0], entropy[:, 1] = [s & _MASK32 for s in seeds], stream
+    pool = _hashmix(entropy, _ENTROPY_HASH[:, :_POOL])
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        const = _ENTROPY_HASH[:, _POOL + 3 * src : _POOL + 3 * src + 3]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], const))
+    for i, s in enumerate(seeds):
+        if s > _MASK32:
+            pool[i] = seed_sequence(s, stream).pool
+    return pool
+
+
+@functools.lru_cache(maxsize=64)
+def _key_words(keys) -> np.ndarray:
+    """The hashed spawn-key word of each of ``keys`` (all below 2**32), one row of four per key."""
+    words = _hashmix(np.array(keys, dtype=np.uint32)[:, None], _ENTROPY_HASH[:, -_POOL:])
+    words.flags.writeable = False
+    return words
+
+
+def _children(pool: np.ndarray, keys) -> np.ndarray:
+    """PCG64 seed words of the children ``keys`` of each root whose mixed pool is ``pool[..., 4]``.
+
+    Returns ``[..., len(keys), 4]``. Exact for a seed and keys below 2**32:
+    such a child's pool is its root's with one spawn-key word mixed in.
+    """
+    return _pcg64_words(_mix(pool[..., None, :], _key_words(keys)))
+
+
+def _stream_children(seeds: list[int], stream: int, pool: np.ndarray, keys) -> np.ndarray:
+    """``_children`` of each seed's ``stream`` root, whose mixed pools are ``pool``.
+
+    Seeds or keys of 2**32 and above take more than one entropy word and go
+    through ``SeedSequence`` itself.
+    """
+    wide_keys = max(keys, default=0) > _MASK32
+    children = (np.empty((len(seeds), len(keys), _POOL), np.uint64) if wide_keys
+                else _children(pool, keys))
+    for i, s in enumerate(seeds):
+        if s > _MASK32 or wide_keys:
+            for j, k in enumerate(keys):
+                children[i, j] = seed_sequence(s, stream, (k,)).generate_state(4, np.uint64)
+    return children
 
 
 def stream_words(seeds, stream: int, spawn_keys=()) -> tuple[np.ndarray, np.ndarray]:
@@ -174,58 +232,17 @@ def stream_words(seeds, stream: int, spawn_keys=()) -> tuple[np.ndarray, np.ndar
 
     Returns ``(children, roots)``: ``children[i, j]`` is
     ``SeedSequence((seeds[i], stream), spawn_key=(spawn_keys[j],)).generate_state(4,
-    np.uint64)`` and ``roots[i]`` the same without the spawn key. A child
-    differs from its root only in the last four hash steps, so each seed's
-    pool is mixed once for all its keys. Seeds (or keys) of 2**32 and above
-    take more than one entropy word and go through ``SeedSequence`` itself.
+    np.uint64)`` and ``roots[i]`` the same without the spawn key. Each
+    seed's pool is mixed once (``_pools``); a root's words are the state
+    hash of its pool and a child's the state hash of the pool with its key
+    word mixed in (``_children``). ``run_cohort`` composes the same pieces.
     """
     seeds = [int(s) for s in seeds]
-    keys = [int(k) for k in spawn_keys]
-    if any(s < 0 for s in seeds):
-        raise ParameterError("seeds must be >= 0")
-    entropy = np.zeros((_POOL, len(seeds)), dtype=np.uint32)
-    entropy[0], entropy[1] = [s & _MASK32 for s in seeds], stream
-    pool = _hashmix(entropy, _ENTROPY_HASH[:, :_POOL, None])
-    for src in range(_POOL):
-        dst = [d for d in range(_POOL) if d != src]
-        const = _ENTROPY_HASH[:, _POOL + 3 * src : _POOL + 3 * src + 3, None]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], const))
-    key = np.array([k & _MASK32 for k in keys], dtype=np.uint32)
-    key = _hashmix(key, _ENTROPY_HASH[:, -_POOL:, None])
-    children = _pcg64_words(_mix(pool[:, :, None], key[:, None, :]))
-    roots = _pcg64_words(pool)
-    wide_keys = max(keys, default=0) > _MASK32
-    for i, s in enumerate(seeds):
-        if s > _MASK32 or wide_keys:
-            roots[i] = seed_sequence(s, stream).generate_state(4, np.uint64)
-            for j, k in enumerate(keys):
-                children[i, j] = seed_sequence(s, stream, (k,)).generate_state(4, np.uint64)
-    return children, roots
-
-
-def _child_words(pool: list[int], key: int) -> np.ndarray:
-    """PCG64 seed words of child ``key`` of the root whose mixed pool is ``pool``.
-
-    The same hash steps as ``stream_words``, on one child in Python integers.
-    """
-    key_hash, state_hash = _int_hash_constants()
-    mixed = []
-    for word, (xor, mult) in zip(pool, key_hash):
-        h = (key ^ xor) * mult & _MASK32
-        h ^= h >> _XSHIFT
-        word = (_MIX_MULT_L * word - _MIX_MULT_R * h) & _MASK32
-        mixed.append(word ^ word >> _XSHIFT)
-    state = []
-    for i, (xor, mult) in enumerate(state_hash):
-        word = (mixed[i % _POOL] ^ xor) * mult & _MASK32
-        state.append(word ^ word >> _XSHIFT)
-    return np.array([lo | hi << 32 for lo, hi in zip(state[0::2], state[1::2])], dtype=np.uint64)
-
-
-@functools.cache
-def _int_hash_constants() -> tuple[list, list]:
-    """(xor, multiply) pairs of the spawn-key and state hash steps, as Python integers."""
-    return _ENTROPY_HASH[:, -_POOL:].T.tolist(), _STATE_HASH.T.tolist()
+    keys = tuple(int(k) for k in spawn_keys)
+    if any(k < 0 for k in keys):
+        raise ParameterError("spawn keys must be >= 0")
+    pool = _pools(seeds, stream)
+    return _stream_children(seeds, stream, pool, keys), _pcg64_words(pool)
 
 
 @functools.cache
@@ -254,15 +271,17 @@ def _indexed_root_type() -> type:
         """``seed_sequence(seed, stream)``, with one spawn counter for every way of spawning.
 
         Child k seeds its ``PCG64`` exactly as ``SeedSequence((seed, stream),
-        spawn_key=(k,))`` does. Seeds and keys of 2**32 and above take more
-        than one entropy word, and their children are that ``SeedSequence``.
+        spawn_key=(k,))`` does, from the ``_EPOCH_BLOCK`` keys hashed with
+        the last key that missed the block. Seeds and keys of 2**32 and above
+        take more than one entropy word, and their children are that
+        ``SeedSequence``.
         """
 
         def __init__(self, seed: int, stream: int):
             self.seed, self.stream = seed, stream
             self.root = seed_sequence(seed, stream)
-            self.pool = self.root.pool.tolist()
             self.n_children_spawned = 0
+            self.block, self.words = range(0), None
 
         def generate_state(self, n_words, dtype=np.uint32):
             return self.root.generate_state(n_words, dtype)
@@ -270,9 +289,15 @@ def _indexed_root_type() -> type:
         def spawn(self, n_children: int) -> list:
             keys = range(self.n_children_spawned, self.n_children_spawned + n_children)
             self.n_children_spawned = keys.stop
-            if self.seed > _MASK32 or keys.stop > _MASK32 + 1:
-                return [seed_sequence(self.seed, self.stream, (k,)) for k in keys]
-            return [_seed_words_type()(_child_words(self.pool, k)) for k in keys]
+            return [self._child(k) for k in keys]
+
+        def _child(self, key: int):
+            if key not in self.block:
+                if self.seed > _MASK32 or not 0 <= key <= _MASK32:
+                    return seed_sequence(self.seed, self.stream, (key,))
+                self.block = range(key, min(key + _EPOCH_BLOCK, _MASK32 + 1))
+                self.words = _children(self.root.pool, self.block)
+            return _seed_words_type()(self.words[key - self.block.start])
 
     return IndexedRoot
 

@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calibrated import BUILD, CALIBRATED_DEVICE_SHARE, TRAINING, stream_words, word_generator
+from .calibrated import BUILD, CALIBRATED_DEVICE_SHARE, TRAINING, word_generator
+from .calibrated import _EPOCH_BLOCK, _pcg64_words, _pools, _stream_children
 from .crossbar import (
     ArrayGeometry,
     CrossbarState,
@@ -452,10 +453,6 @@ class CohortOutcome:
     total_energy: np.ndarray
 
 
-# training epochs whose child words run_cohort hashes at a time
-_EPOCH_BLOCK = 16
-
-
 def run_cohort(
     cvs,
     seeds,
@@ -474,13 +471,14 @@ def run_cohort(
     stream, bit for bit, but records no per-epoch trace.
     A seed's build draws do not depend on the cv, and its epoch-k training
     child depends only on the seed and k, so each seed draws once for all
-    cvs. Its build root and, while any of its cvs still trains, its epoch
-    children are seeded from words that ``stream_words`` hashes for many seeds
-    at once: the build roots up front, the children in blocks of
-    ``_EPOCH_BLOCK`` epochs for the seeds still training, so memory does not
-    grow with ``max_epochs``. Repeated seeds are simulated once. Bad patterns
-    raise the same errors as ``run_learning``, before any stream is hashed or
-    any array is built.
+    cvs. Each seed's build and training pools are mixed once per cohort,
+    for all seeds at once, as ``stream_words`` does. The build roots are
+    hashed from their pools up front; while any of a seed's cvs still
+    trains, its epoch children are hashed from its training pool in blocks
+    of ``_EPOCH_BLOCK`` epochs, for the seeds still training only, so memory
+    does not grow with ``max_epochs``. Repeated seeds are simulated once.
+    Bad patterns raise the same errors as ``run_learning``, before any
+    stream is hashed or any array is built.
 
     The epoch loop holds only what the live runs need, in small contiguous
     arrays: each run's stored (pattern x pattern) cells, the only ones a
@@ -505,8 +503,9 @@ def run_cohort(
     unique = sorted(set(seeds))
     shape = (geometry.rows, geometry.cols)
     z_dev, z_cyc = np.empty((2, len(unique), *shape))
-    for u, words in enumerate(stream_words(unique, BUILD)[1]):
+    for u, words in enumerate(_pcg64_words(_pools(unique, BUILD))):
         z_dev[u], z_cyc[u] = build_draws(word_generator(words), shape)
+    pools = _pools(unique, TRAINING)
     # run r is cv r // len(unique) on seed unique[r % len(unique)]
     resistance = np.empty((len(variations) * len(unique), *shape))
     threshold = np.empty(len(resistance))
@@ -539,7 +538,7 @@ def run_cohort(
         offset = (epoch - 1) % _EPOCH_BLOCK
         if offset == 0:  # epoch k draws from child k - 1 of each live seed's training root
             keys = range(epoch - 1, epoch - 1 + _EPOCH_BLOCK)
-            words = stream_words([unique[u] for u in live], TRAINING, keys)[0]
+            words = _stream_children([unique[u] for u in live], TRAINING, pools[live], keys)
         z = draws[: live.size]
         for w, row in zip(words[:, offset], z):
             word_generator(w).standard_normal(out=row)

@@ -21,7 +21,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcmxbar import crossbar, device, hopfield
-from pcmxbar.calibrated import calibrated_device_params, calibrated_variation, training_stream
+from pcmxbar.calibrated import (
+    BUILD,
+    TRAINING,
+    calibrated_device_params,
+    calibrated_variation,
+    training_stream,
+)
 from pcmxbar.crossbar import (
     ArrayGeometry,
     CrossbarState,
@@ -415,3 +421,20 @@ def test_cohort_loop_does_no_per_epoch_index_work(monkeypatch):
         counts.append(dict(calls))
     assert counts[0]["ix_"] == 0
     assert counts[0] == counts[1]
+
+
+def test_cohort_mixes_each_streams_pools_once(monkeypatch):
+    # no run recalls at c_factor 1e6, so 40 epochs take three 16-epoch blocks
+    # of training children, all hashed from the pools mixed up front
+    mixed = []
+    real = hopfield._pools
+
+    def counting(seeds, stream):
+        mixed.append(stream)
+        return real(seeds, stream)
+
+    monkeypatch.setattr(hopfield, "_pools", counting)
+    config = NetworkConfig(c_factor=1e6, max_epochs=40)
+    cohort = hopfield.run_cohort((0.60, 0.09), (3, 4, 3), calibrated_device_params(), config)
+    assert not cohort.converged.any() and (cohort.epochs == 40).all()
+    assert sorted(mixed) == [BUILD, TRAINING]

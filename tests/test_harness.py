@@ -7,20 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcmxbar import harness
+from pcmxbar import calibrated, harness
 from pcmxbar.calibrated import (
     CALIBRATED_DECAY_SCHEDULE,
     CALIBRATED_DEVICE_SHARE,
     CALIBRATED_SIGMA_C2C,
     VARIATION_LEVELS,
     build_decay_schedule,
+    build_stream,
     characterization_stream,
     calibrated_device_params,
     calibrated_variation,
+    seed_sequence,
     stream_words,
     training_stream,
     word_generator,
 )
+from pcmxbar.crossbar import ArrayGeometry, build_array
 from pcmxbar.device import (
     CellState,
     DeviceParams,
@@ -39,7 +42,8 @@ from pcmxbar.harness import (
     reproduce_figures,
     sweep_figures,
 )
-from pcmxbar.hopfield import PATTERN_ONE, NetworkConfig, run_learning
+from pcmxbar.hopfield import PATTERN_ONE, NetworkConfig, run_cohort, run_learning
+from pcmxbar.metrics import read_voltage_sensitivity
 
 ALPHA = (1.0e4 / 3.0e6) ** (1.0 / 9.0)
 
@@ -115,8 +119,6 @@ def test_calibrated_medians_near_targets():
     for cv, target in CALIBRATION_TARGETS.items():
         epochs = []
         for seed in range(25):
-            from pcmxbar.crossbar import ArrayGeometry, build_array
-
             arr = build_array(ArrayGeometry(), params, calibrated_variation(cv), seed)
             trace = run_learning(
                 arr, PATTERN_ONE, 6, cfg, training_stream(seed), record_maps=False
@@ -218,6 +220,100 @@ def test_training_children_past_one_key_word_take_seed_sequence():
 def test_stream_words_reject_negative_seeds():
     with pytest.raises(ParameterError):
         stream_words([3, -1], 1, range(2))
+
+
+def seed_sequence_words(seed, keys):
+    return [
+        np.random.SeedSequence((seed, 1), spawn_key=(k,)).generate_state(4, np.uint64).tolist()
+        for k in keys
+    ]
+
+
+def child_words(children):
+    return [child.generate_state(4, np.uint64).tolist() for child in children]
+
+
+def test_training_children_served_from_blocks_match_seed_sequence(monkeypatch):
+    blocks = []
+    real = calibrated._children
+
+    def counting(pool, keys):
+        blocks.append(keys)
+        return real(pool, keys)
+
+    monkeypatch.setattr(calibrated, "_children", counting)
+    # 40 single spawns, as run_learning's epochs take them, cross two block edges
+    rng, reference = training_stream(7), np.random.default_rng(np.random.SeedSequence((7, 1)))
+    for _ in range(40):
+        ours, theirs = rng.spawn(1)[0], reference.spawn(1)[0]
+        assert ours.standard_normal(25).tolist() == theirs.standard_normal(25).tolist()
+    assert blocks == [range(0, 16), range(16, 32), range(32, 48)]
+
+    # one spawn that spans a block edge
+    root = training_stream(7).bit_generator.seed_seq
+    root.n_children_spawned = 10
+    assert child_words(root.spawn(20)) == seed_sequence_words(7, range(10, 30))
+    assert blocks[3:] == [range(10, 26), range(26, 42)]
+    # the counter set back inside the last block reuses it; set past it, a new block
+    root.n_children_spawned = 27
+    assert child_words(root.spawn(3)) == seed_sequence_words(7, range(27, 30))
+    root.n_children_spawned = 100
+    assert child_words(root.spawn(2)) == seed_sequence_words(7, range(100, 102))
+    assert blocks[5:] == [range(100, 116)]
+    assert root.n_children_spawned == 102
+
+    # a block is clipped at the last one-word key; the keys past it take SeedSequence
+    root.n_children_spawned = 2**32 - 3
+    children = root.spawn(5)
+    assert child_words(children) == seed_sequence_words(7, range(2**32 - 3, 2**32 + 2))
+    assert blocks[6:] == [range(2**32 - 3, 2**32)]
+    assert [type(c) is np.random.SeedSequence for c in children] == [False] * 3 + [True] * 2
+
+
+ROOT_SEEDS = (
+    st.sampled_from((0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 - 1, 2**96, 2**128))
+    | st.integers(0, 2**128)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=ROOT_SEEDS)
+def test_root_words_hold_for_seeds_of_every_width(seed):
+    # a root's words are the state hash of its pool however many words the seed takes
+    for stream in (calibrated.BUILD, calibrated.TRAINING, calibrated.CHARACTERIZATION):
+        root = np.random.SeedSequence((seed, stream))
+        words = calibrated._pcg64_words(root.pool)
+        assert words.tolist() == root.generate_state(4, np.uint64).tolist()
+    for stream, rng in ((0, build_stream(seed)), (2, characterization_stream(seed))):
+        reference = np.random.default_rng(np.random.SeedSequence((seed, stream)))
+        assert rng.standard_normal(9).tolist() == reference.standard_normal(9).tolist()
+        assert rng.integers(2**63, size=3).tolist() == reference.integers(2**63, size=3).tolist()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: seed_sequence(-1, 0),
+        lambda: seed_sequence(3, 1, (-1,)),
+        lambda: stream_words([3], 1, [-1]),
+        lambda: build_stream(-1),
+        lambda: training_stream(-1),
+        lambda: characterization_stream(-1),
+        lambda: build_array(ArrayGeometry(), calibrated_device_params(), calibrated_variation(0.6), -1),
+        lambda: read_voltage_sensitivity(
+            calibrated_device_params(), calibrated_variation(0.6), NetworkConfig(), -2
+        ),
+        lambda: run_cohort((0.6,), (3, -1), calibrated_device_params(), NetworkConfig()),
+    ],
+    ids=[
+        "seed_sequence", "seed_sequence_key", "stream_words_key", "build_stream",
+        "training_stream", "characterization_stream", "build_array",
+        "read_voltage_sensitivity", "run_cohort",
+    ],
+)
+def test_negative_seeds_and_spawn_keys_raise_parameter_error(call):
+    with pytest.raises(ParameterError, match=">= 0"):
+        call()
 
 
 # ---------------------------------------------------------------------------

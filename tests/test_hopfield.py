@@ -576,8 +576,8 @@ def test_run_cohort_rejects_what_run_learning_rejects(geometry, pattern, missing
 
 def test_run_cohort_rejects_a_bad_cue_before_any_work(monkeypatch):
     def no_streams(*args, **kwargs):
-        raise AssertionError("stream_words called before the patterns were checked")
+        raise AssertionError("a stream's pools were mixed before the patterns were checked")
 
-    monkeypatch.setattr("pcmxbar.hopfield.stream_words", no_streams)
+    monkeypatch.setattr("pcmxbar.hopfield._pools", no_streams)
     with pytest.raises(ProtocolError, match="recall expects 3"):
         run_cohort((0.24,), (1,), DeviceParams(), NetworkConfig(recall_on_count=3))
