@@ -23,8 +23,9 @@ Every stream is seeded through one state hash, ``_pcg64_words``: NumPy's
 ``SeedSequence.generate_state`` (NEP 19) on ``uint32`` arrays of mixed
 pools. A root hashes its ``SeedSequence`` pool, child k that pool with its
 hashed key word mixed in (``_children``). A run's training root hashes its
-children 16 at a time; cohorts mix many seeds' pools at once (``_pools``),
-as ``stream_words`` does. The draws are the same bit for bit.
+own words together with its first 16 children, then the next 16 at a time;
+cohorts mix many seeds' pools at once (``_pools``), as ``stream_words``
+does. The draws are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -121,7 +122,8 @@ def training_stream(seed: int) -> np.random.Generator:
     Its seed sequence counts the children spawned through the generator,
     its bit generator or itself alike, and serves each from a block of
     ``_EPOCH_BLOCK`` children hashed from the root's pool, drawing what
-    ``SeedSequence.spawn``'s child would.
+    ``SeedSequence.spawn``'s child would; the first block is hashed with
+    the root's own words.
     """
     return np.random.default_rng(_indexed_root_type()(seed, TRAINING))
 
@@ -272,18 +274,26 @@ def _indexed_root_type() -> type:
 
         Child k seeds its ``PCG64`` exactly as ``SeedSequence((seed, stream),
         spawn_key=(k,))`` does, from the ``_EPOCH_BLOCK`` keys hashed with
-        the last key that missed the block. Seeds and keys of 2**32 and above
-        take more than one entropy word, and their children are that
-        ``SeedSequence``.
+        the last key that missed the block. The root's own words are hashed
+        with the first block, and serve ``PCG64``'s ``(4, uint64)`` request.
+        Seeds and keys of 2**32 and above take more than one entropy word,
+        and their roots and children are that ``SeedSequence``.
         """
 
         def __init__(self, seed: int, stream: int):
             self.seed, self.stream = seed, stream
             self.root = seed_sequence(seed, stream)
             self.n_children_spawned = 0
-            self.block, self.words = range(0), None
+            self.block, self.words, self.root_words = range(0), None, None
+            if seed <= _MASK32:
+                pool, self.block = self.root.pool, range(_EPOCH_BLOCK)
+                pools = np.concatenate((pool[None], _mix(pool, _key_words(self.block))))
+                words = _pcg64_words(pools)
+                self.root_words, self.words = words[0], words[1:]
 
         def generate_state(self, n_words, dtype=np.uint32):
+            if n_words == 4 and dtype is np.uint64 and self.root_words is not None:
+                return self.root_words
             return self.root.generate_state(n_words, dtype)
 
         def spawn(self, n_children: int) -> list:

@@ -68,10 +68,12 @@ class CrossbarState:
 def build_draws(rng: np.random.Generator, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """A build stream's normal draws for one array: device block, then cycle block.
 
-    They depend only on the stream and ``shape``, never on the variation
-    level, so one pair serves the same seed's array at every cv.
+    Both come from one ``(2, *shape)`` draw. They depend only on the stream
+    and ``shape``, never on the variation level, so one pair serves the same
+    seed's array at every cv.
     """
-    return rng.standard_normal(shape), rng.standard_normal(shape)
+    z = rng.standard_normal((2, *shape))
+    return z[0], z[1]  # indexing is cheaper than unpacking through the iterator
 
 
 def as_built_resistance(params: DeviceParams, sigma_device, sigma_cycle, z_dev, z_cyc):

@@ -260,7 +260,9 @@ class _RunPlan(NamedTuple):
     flat: np.ndarray  # C-order flat index of each stored (pattern x pattern) cell, row-major
     read_block: tuple[np.ndarray, np.ndarray]  # np.ix_(cue rows, sensed columns)
     sensed: tuple[int, ...]  # the bitlines read, ascending
-    hidden: np.ndarray  # columns of the pattern's sensed bitlines in the read block
+    # columns of the pattern's sensed bitlines in the read block: a slice (so the
+    # refresh assigns through a view) when consecutive, as one column always is
+    hidden: slice | np.ndarray
     refresh: np.ndarray  # (cue, hidden): index among the stored cells of each such read cell
     missing: frozenset  # the pattern's pixels outside the cue
 
@@ -270,12 +272,16 @@ def _plan(geometry: ArrayGeometry, pattern: Pattern, partial: Pattern) -> _RunPl
     read = firing_plan(partial.on, geometry.rows, geometry.cols)
     on, n = update.neurons, len(update.neurons)
     hidden = [b for b in read.sensed if b in pattern.on]
-    columns = np.array([read.sensed.index(b) for b in hidden], dtype=np.intp)
+    columns = [read.sensed.index(b) for b in hidden]
     refresh = np.array(
         [[on.index(c) * n + on.index(b) for b in hidden] for c in read.neurons], dtype=np.intp
     )
-    for a in (columns, refresh):
-        a.flags.writeable = False
+    refresh.flags.writeable = False
+    if columns == list(range(columns[0], columns[-1] + 1)):
+        columns = slice(columns[0], columns[-1] + 1)
+    else:
+        columns = np.array(columns, dtype=np.intp)
+        columns.flags.writeable = False
     return _RunPlan(update.flat, read.read_block, read.sensed, columns, refresh,
                     pattern.on - partial.on)
 

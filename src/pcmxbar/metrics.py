@@ -10,6 +10,7 @@ monotone, so these two products decide for every epoch of the run.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -76,6 +77,16 @@ class SensitivityResult:
         }
 
 
+@functools.lru_cache(maxsize=8)
+def _check_grid(grid: tuple) -> None:
+    """Raise unless ``grid`` ascends strictly within (0, 1); each distinct grid passes once."""
+    last = 0.0
+    for d in grid:
+        if not 0.0 < d < 1.0 or d <= last:
+            raise ParameterError("perturbation grid must be ascending within (0, 1)")
+        last = d
+
+
 def read_voltage_sensitivity(
     params: DeviceParams,
     variation: VariationSpec,
@@ -96,12 +107,10 @@ def read_voltage_sensitivity(
     in epoch one has no ``M``, so only a lowered bias can flip it. Returns
     the sentinel (None) when no grid entry flips. Raises ProtocolError when
     the unperturbed run never recalls: there is no baseline to compare with.
+    ``grid`` may be any iterable; it is read once, into a tuple.
     """
-    last = 0.0
-    for d in grid:
-        if not 0.0 < d < 1.0 or d <= last:
-            raise ParameterError("perturbation grid must be ascending within (0, 1)")
-        last = d
+    grid = tuple(grid)
+    _check_grid(grid)
     arr = build_array(ArrayGeometry(), params, variation, seed)
     trace = run_learning(
         arr, PATTERN_ONE, MISSING_PIXEL_ONE, network, training_stream(seed), record_maps=False
@@ -129,7 +138,7 @@ def read_voltage_sensitivity(
         v_read=network.v_read,
         threshold=threshold,
         base_epochs=trace.epochs_to_recall,
-        grid=tuple(grid),
+        grid=grid,
         min_relative_perturbation=min_delta,
         flip_direction=direction,
     )

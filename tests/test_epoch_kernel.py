@@ -397,6 +397,22 @@ def test_epoch_loop_builds_no_indices(monkeypatch):
     assert lookups[0] == lookups[1] == (0, 0)
 
 
+def test_refreshed_columns_are_a_slice_when_consecutive():
+    geometry = ArrayGeometry()
+    # one missing pixel is one column, so a run refreshes its read block through a view
+    for pattern, missing in ((PATTERN_ONE, MISSING_PIXEL_ONE), (PATTERN_TWO, MISSING_PIXEL_TWO)):
+        plan = hopfield._run_plan(geometry, pattern, missing, 4)
+        column = plan.sensed.index(missing)
+        assert plan.hidden == slice(column, column + 1)
+    # the cue {1, 2, 6} senses pixels 3 and 4 in columns 0 and 1: consecutive
+    plan = hopfield._plan(geometry, PATTERN_ONE, Pattern.from_on({1, 2, 6}, 10))
+    assert plan.hidden == slice(0, 2)
+    # the cue {1, 2, 3} senses pixels 4 and 6 in columns 0 and 2: an index array
+    plan = hopfield._plan(geometry, PATTERN_ONE, Pattern.from_on({1, 2, 3}, 10))
+    assert isinstance(plan.hidden, np.ndarray) and plan.hidden.tolist() == [0, 2]
+    assert not plan.hidden.flags.writeable and not plan.refresh.flags.writeable
+
+
 def test_cohort_loop_does_no_per_epoch_index_work(monkeypatch):
     # at c_factor 1e6 no run ever recalls, so both cohorts train every run
     # through their whole budget: no count may grow with it
@@ -412,6 +428,8 @@ def test_cohort_loop_does_no_per_epoch_index_work(monkeypatch):
     for name in calls:
         monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
     params = calibrated_device_params()
+    # one uncounted cohort fills the plan caches, as a run alone would find them cold
+    hopfield.run_cohort((0.60,), (3,), params, NetworkConfig(c_factor=1e6, max_epochs=1))
     counts = []
     for max_epochs in (10, 30):
         calls.update(dict.fromkeys(calls, 0))

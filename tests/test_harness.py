@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcmxbar import calibrated, harness
@@ -190,6 +190,12 @@ def spawn_children(rng, via, n):
 @settings(max_examples=120, deadline=None)
 @given(seed=SPAWN_SEEDS, spawns=SPAWNS | st.integers(1, 6).map(lambda n: [("generator", 1)] * n),
        root_draws=st.integers(0, 3))
+# root draws, then 40 single spawns as run_learning's epochs take them, past two block edges
+@example(seed=0, spawns=[("generator", 1)] * 40, root_draws=3)
+@example(seed=7, spawns=[("generator", 1)] * 40, root_draws=3)
+@example(seed=2**32 - 1, spawns=[("generator", 1)] * 40, root_draws=3)
+@example(seed=2**32, spawns=[("generator", 1)] * 40, root_draws=3)
+@example(seed=2**64, spawns=[("generator", 1)] * 40, root_draws=3)
 def test_training_children_match_seed_sequence_spawning(seed, spawns, root_draws):
     # every way of spawning counts on one sequence, as SeedSequence's own
     # counter does, and each child draws what SeedSequence's child does
@@ -247,27 +253,48 @@ def test_training_children_served_from_blocks_match_seed_sequence(monkeypatch):
     for _ in range(40):
         ours, theirs = rng.spawn(1)[0], reference.spawn(1)[0]
         assert ours.standard_normal(25).tolist() == theirs.standard_normal(25).tolist()
-    assert blocks == [range(0, 16), range(16, 32), range(32, 48)]
+    # block 0 is hashed with the root's own words when the root is made
+    assert blocks == [range(16, 32), range(32, 48)]
 
     # one spawn that spans a block edge
     root = training_stream(7).bit_generator.seed_seq
     root.n_children_spawned = 10
     assert child_words(root.spawn(20)) == seed_sequence_words(7, range(10, 30))
-    assert blocks[3:] == [range(10, 26), range(26, 42)]
+    assert blocks[2:] == [range(16, 32)]
     # the counter set back inside the last block reuses it; set past it, a new block
     root.n_children_spawned = 27
     assert child_words(root.spawn(3)) == seed_sequence_words(7, range(27, 30))
     root.n_children_spawned = 100
     assert child_words(root.spawn(2)) == seed_sequence_words(7, range(100, 102))
-    assert blocks[5:] == [range(100, 116)]
+    assert blocks[3:] == [range(100, 116)]
     assert root.n_children_spawned == 102
 
     # a block is clipped at the last one-word key; the keys past it take SeedSequence
     root.n_children_spawned = 2**32 - 3
     children = root.spawn(5)
     assert child_words(children) == seed_sequence_words(7, range(2**32 - 3, 2**32 + 2))
-    assert blocks[6:] == [range(2**32 - 3, 2**32)]
+    assert blocks[4:] == [range(2**32 - 3, 2**32)]
     assert [type(c) is np.random.SeedSequence for c in children] == [False] * 3 + [True] * 2
+
+
+def test_training_root_hashes_its_words_with_its_first_block(monkeypatch):
+    calls = []
+    real = calibrated._pcg64_words
+
+    def counting(pool):
+        calls.append(pool.shape)
+        return real(pool)
+
+    monkeypatch.setattr(calibrated, "_pcg64_words", counting)
+    rng = training_stream(7)
+    assert calls == [(17, 4)]  # the root's pool and its children 0-15, in one call
+    children = [rng.spawn(1)[0] for _ in range(16)]
+    assert calls == [(17, 4)]
+    rng.spawn(1)
+    assert calls == [(17, 4), (16, 4)]
+    reference = np.random.SeedSequence((7, 1)).spawn(16)
+    assert [c.bit_generator.seed_seq.generate_state(4, np.uint64).tolist() for c in children] \
+        == child_words(reference)
 
 
 ROOT_SEEDS = (

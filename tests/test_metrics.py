@@ -14,7 +14,7 @@ from pcmxbar.calibrated import CALIBRATED_DECAY_SCHEDULE, training_stream
 from pcmxbar.config import default_run_config
 from pcmxbar.crossbar import ArrayGeometry, build_array
 from pcmxbar.device import DeviceParams, VariationSpec
-from pcmxbar.errors import OutputError, ProtocolError
+from pcmxbar.errors import OutputError, ParameterError, ProtocolError
 from pcmxbar.hopfield import (
     MISSING_PIXEL_ONE,
     PATTERN_ONE,
@@ -128,6 +128,26 @@ def test_sensitivity_grid_exhausted_is_sentinel():
     assert res.min_relative_perturbation is None
     assert not res.flipped
     assert res.flip_direction is None
+
+
+def test_sensitivity_reads_a_one_shot_grid_once():
+    params = DeviceParams(sigma_c2c=0.0)
+
+    def run(grid):
+        return read_voltage_sensitivity(
+            params, VariationSpec(cv=0.0), NetworkConfig(), seed=1, grid=grid
+        )
+
+    grid = DEFAULT_PERTURBATION_GRID[:20]
+    res = run(d for d in grid)
+    assert res == run(grid)
+    assert res.grid == grid and res.flipped
+    # a bad grid raises on every call, however it is given
+    for bad in ((0.2, 0.1), [0.2, 0.1], iter((0.2, 0.1)), (d for d in (0.1, 1.0))):
+        with pytest.raises(ParameterError):
+            run(bad)
+    with pytest.raises(ParameterError):
+        run((0.2, 0.1))
 
 
 def test_sensitivity_requires_converged_base():
