@@ -7,9 +7,12 @@ A CSV row is formatted by one ``%``-format, built on first use for its tuple
 of cell types and float format and then cached: ``%d`` for a bool, the float
 format for any float (``np.float64`` included), ``%s`` (that is, ``str``) for
 anything else. It gives the same text as formatting each cell on its own.
-When all rows share one length and one tuple of cell types, as maps and
-figure tables do, one cached format covers the whole body and takes the
-flattened cells in one ``%``.
+When all rows share one length and one tuple of cell types, as figure
+tables do, one cached format covers the whole body and takes the flattened
+cells in one ``%``. A resistance map does not pass through ``write_csv``:
+``write_map_csv`` takes a cached format per map shape, with the header and
+each wordline number written in, and fills it from the float cells in one
+``%``.
 
 JSON text comes from ``_json_text``, a recursive encoder for the exact types
 that ``json`` maps to JSON. It gives ``json.dumps(obj, sort_keys=True,
@@ -17,7 +20,7 @@ indent=2)``, whose ``indent`` would select the stdlib's slower pure-Python
 encoder. It raises on anything else (numpy scalars, int keys, NaN or
 infinity, a cycle), and ``write_json`` then leaves that object to
 ``json.dumps``, so the stdlib decides the text or the error.
-``tests/test_io.py`` pins both CSV paths to per-cell formatting and the
+``tests/test_io.py`` pins every CSV path to per-cell formatting and the
 encoder to ``json.dumps``, byte for byte, with hypothesis.
 
 A file is written with one open, one write and one close; its parent
@@ -72,14 +75,23 @@ def write_csv(path, header, rows, provenance=None, float_fmt: str = "%.10g") -> 
 
 
 @functools.lru_cache(maxsize=16)
-def _map_header(cols: int) -> tuple[str, ...]:
-    return ("wordline", *(f"bitline_{b}" for b in range(1, cols + 1)))
+def _map_format(rows: int, cols: int) -> str:
+    """The header line and one ``%``-format line per wordline, its number written in."""
+    lines = ["wordline" + "".join(f",bitline_{b}" for b in range(1, cols + 1))]
+    lines.extend(f"{w}" + ",%.6g" * cols for w in range(1, rows + 1))
+    return "\n".join(lines) + "\n"
 
 
 def write_map_csv(path, matrix, provenance=None) -> None:
-    """Write a resistance map: one row per wordline, 6 significant digits."""
-    rows = [(w, *row) for w, row in enumerate(matrix.tolist(), start=1)]
-    write_csv(path, _map_header(matrix.shape[1]), rows, provenance=provenance, float_fmt="%.6g")
+    """Write a resistance map: one row per wordline, 6 significant digits.
+
+    The text is ``write_csv``'s for the rows ``(wordline, *cells)`` at
+    ``float_fmt="%.6g"``, for a float matrix, taken through one cached format
+    per shape and one ``%`` over the flattened cells.
+    """
+    lines = provenance_lines(provenance)
+    lines.append(_map_format(*matrix.shape) % tuple(matrix.ravel().tolist()))
+    _write_text(path, "\n".join(lines))
 
 
 def _json_text(obj, indent: str = "\n", _quote=json.encoder.encode_basestring_ascii) -> str:

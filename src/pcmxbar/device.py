@@ -96,15 +96,15 @@ class VariationSpec:
         if not 0.0 <= self.device_share <= 1.0:
             raise ParameterError(f"device_share must be in [0, 1], got {self.device_share}")
 
-    @property
+    @cached_property
     def sigma_total(self) -> float:
         return lognormal_sigma(self.cv)
 
-    @property
+    @cached_property
     def sigma_device(self) -> float:
         return math.sqrt(self.device_share) * self.sigma_total
 
-    @property
+    @cached_property
     def sigma_cycle(self) -> float:
         return math.sqrt(1.0 - self.device_share) * self.sigma_total
 

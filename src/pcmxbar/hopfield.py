@@ -250,8 +250,8 @@ def check_shipped_patterns(config: NetworkConfig) -> None:
     Lets a command that trains them reject its network settings before it
     creates any output directory.
     """
-    _cue(ArrayGeometry(), PATTERN_ONE, MISSING_PIXEL_ONE, config.recall_on_count)
-    _cue(ArrayGeometry(), PATTERN_TWO, MISSING_PIXEL_TWO, config.recall_on_count)
+    _run_plan(ArrayGeometry(), PATTERN_ONE, MISSING_PIXEL_ONE, config.recall_on_count)
+    _run_plan(ArrayGeometry(), PATTERN_TWO, MISSING_PIXEL_TWO, config.recall_on_count)
 
 
 class _RunPlan(NamedTuple):

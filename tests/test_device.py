@@ -1,5 +1,6 @@
 """Single-cell model: pulses, reset/set sampling, gradual staircase, reads."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -115,6 +116,24 @@ def test_variation_spec_split():
     assert v.sigma_device**2 == pytest.approx(0.8 * total2, rel=1e-12)
     assert v.sigma_cycle**2 == pytest.approx(0.2 * total2, rel=1e-12)
     assert v.sigma_device**2 + v.sigma_cycle**2 == pytest.approx(total2, rel=1e-12)
+    # each sigma is read once per spec and kept, at the value of the formula
+    for cv in (0.0, 0.09, 0.24, 0.40, 0.60, 3.0):
+        for share in (0.0, 0.3, 0.8, 1.0):
+            v = VariationSpec(cv=cv, device_share=share)
+            assert v.sigma_total == lognormal_sigma(cv)
+            assert v.sigma_device == math.sqrt(share) * lognormal_sigma(cv)
+            assert v.sigma_cycle == math.sqrt(1.0 - share) * lognormal_sigma(cv)
+
+
+def test_a_spec_whose_sigmas_were_read_is_still_the_same_value():
+    read, fresh = VariationSpec(cv=0.60), VariationSpec(cv=0.60)
+    assert read.sigma_total + read.sigma_device + read.sigma_cycle > 0.0
+    assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+    assert dataclasses.asdict(read) == dataclasses.asdict(fresh) == {"cv": 0.6, "device_share": 0.8}
+    other = dataclasses.replace(read, cv=0.4)
+    assert other.sigma_total == lognormal_sigma(0.4)
+    assert other.sigma_device == math.sqrt(0.8) * lognormal_sigma(0.4)
+    assert other.sigma_cycle == math.sqrt(1.0 - 0.8) * lognormal_sigma(0.4)
 
 
 def test_variation_spec_validation():

@@ -19,6 +19,7 @@ from pcmxbar.calibrated import (
     calibrated_device_params,
     training_stream,
 )
+from pcmxbar import hopfield
 from pcmxbar.hopfield import (
     MISSING_PIXEL_ONE,
     MISSING_PIXEL_TWO,
@@ -26,6 +27,7 @@ from pcmxbar.hopfield import (
     PATTERN_TWO,
     NetworkConfig,
     Pattern,
+    check_shipped_patterns,
     compute_threshold,
     recall_only,
     run_cohort,
@@ -369,6 +371,26 @@ def test_protocol_validation():
         )
     with pytest.raises(ProtocolError):
         run_learning(arr, PATTERN_ONE, 5, cfg, rng)  # 5 is not part of pattern one
+
+
+def test_shipped_pattern_check_reads_the_plan_cache(monkeypatch):
+    bad = NetworkConfig(recall_on_count=3)
+    messages = []
+    for _ in range(2):  # a failed check is not cached, so it raises every time
+        with pytest.raises(ProtocolError, match="recall expects 3") as info:
+            check_shipped_patterns(bad)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    good = NetworkConfig()
+    check_shipped_patterns(good)
+    cues = []
+    cue = hopfield._cue
+    monkeypatch.setattr(hopfield, "_cue", lambda *args: cues.append(args) or cue(*args))
+    check_shipped_patterns(good)
+    assert cues == []
+    with pytest.raises(ProtocolError, match="recall expects 3"):
+        check_shipped_patterns(bad)
+    assert len(cues) == 1
 
 
 def test_trace_serializes_to_json():

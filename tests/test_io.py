@@ -10,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from pcmxbar import _io
 from pcmxbar._io import provenance_lines, write_csv, write_json, write_map_csv
 from pcmxbar.cli import main
 from pcmxbar.errors import OutputError
@@ -67,12 +68,24 @@ def test_write_csv_matches_per_cell_formatting(tmp_path_factory, rows, float_fmt
 @settings(max_examples=100, deadline=None)
 @given(matrix=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
                          elements=FLOATS))
+@example(matrix=np.asfortranarray(np.arange(12.0).reshape(3, 4) / 7.0))
+@example(matrix=(np.arange(12.0).reshape(3, 4) * 1.5e5 + 0.125).T)
+@example(matrix=np.linspace(-1.0, 1.0, 6).reshape(1, 6) / 3.0)
+@example(matrix=np.linspace(-1.0, 1.0, 6).reshape(6, 1) / 3.0)
+@example(matrix=np.ones((10, 10)))
 def test_write_map_csv_matches_per_cell_formatting(tmp_path_factory, matrix):
     path = tmp_path_factory.mktemp("map") / "m.csv"
     write_map_csv(path, matrix, provenance={"epoch": 3})
     header = ["wordline"] + [f"bitline_{b}" for b in range(1, matrix.shape[1] + 1)]
     rows = [[w, *row] for w, row in enumerate(matrix, 1)]
     assert path.read_bytes() == reference_csv(header, rows, {"epoch": 3}, "%.6g")
+
+
+def test_map_format_is_built_once_per_shape(tmp_path):
+    _io._map_format.cache_clear()
+    for k in range(30):
+        write_map_csv(tmp_path / "m.csv", np.full((10, 10), k / 7.0), provenance={"epoch": k})
+    assert _io._map_format.cache_info().misses == 1
 
 
 # tables of one row signature: bool, np.bool_, int, float and str columns, at least
