@@ -8,7 +8,7 @@ threshold.
 
 import argparse
 
-from pcmxbar.calibrated import calibrated_device_params, calibrated_variation, training_stream
+from pcmxbar.calibrated import calibrated_device_params, calibrated_variation
 from pcmxbar.crossbar import ArrayGeometry, build_array
 from pcmxbar.hopfield import (
     MISSING_PIXEL_ONE,
@@ -28,13 +28,12 @@ args = parser.parse_args()
 params = calibrated_device_params()
 network = NetworkConfig()
 arr = build_array(ArrayGeometry(), params, calibrated_variation(args.cv), args.seed)
-rng = training_stream(args.seed)
 
 threshold = compute_threshold(arr.initial_resistance, network)
 print(f"pattern on-pixels {sorted(PATTERN_ONE.on)}, cue misses pixel {MISSING_PIXEL_ONE}")
 print(f"firing threshold {threshold:.3e} A (cv={args.cv}, seed={args.seed})\n")
 
-trace = run_learning(arr, PATTERN_ONE, MISSING_PIXEL_ONE, network, rng)
+trace = run_learning(arr, PATTERN_ONE, MISSING_PIXEL_ONE, network)
 for ep in trace.epochs:
     current = ep.recall_currents[MISSING_PIXEL_ONE]
     mark = "fired" if MISSING_PIXEL_ONE in ep.fired else "quiet"

@@ -16,21 +16,25 @@ tiny bracket rungs, one mid jump, then a uniform tail:
 
 One integer seed keys three independent streams: ``(seed, 0)`` builds the
 array, ``(seed, 1)`` drives training, ``(seed, 2)`` drives single-cell
-characterization. Epoch k of a run draws from the training root's k-th
-spawned child, ``SeedSequence((seed, 1), spawn_key=(k - 1,))``.
+characterization. Epoch k of a run draws from the training root's child
+``SeedSequence((seed, 1), spawn_key=(k - 1,))``; a run that starts at a
+stream offset reads its children from that index on.
 
 Every stream is seeded through one state hash, ``_pcg64_words``: NumPy's
 ``SeedSequence.generate_state`` (NEP 19) on ``uint32`` arrays of mixed
 pools. A root hashes its ``SeedSequence`` pool, child k that pool with its
-hashed key word mixed in (``_children``). A run's training root hashes its
-own words together with its first 16 children, then the next 16 at a time;
-cohorts mix many seeds' pools at once (``_pools``), as ``stream_words``
-does. The draws are the same bit for bit.
+hashed key word mixed in (``_children``). A run reads its epoch children by
+index (``_training_children``), from cached blocks of 16 hashed keys;
+cohorts mix many seeds' pools at once (``_pools``) and hash their children
+in the same blocks (``_stream_children``). The draws are the same bit for
+bit.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -52,7 +56,6 @@ __all__ = [
     "build_stream",
     "training_stream",
     "characterization_stream",
-    "stream_words",
     "word_generator",
 ]
 
@@ -117,15 +120,12 @@ def build_stream(seed: int) -> np.random.Generator:
 
 
 def training_stream(seed: int) -> np.random.Generator:
-    """Training root: each epoch spawns its own child from it.
+    """Training root: epoch k of a run draws what its spawned child k - 1 draws.
 
-    Its seed sequence counts the children spawned through the generator,
-    its bit generator or itself alike, and serves each from a block of
-    ``_EPOCH_BLOCK`` children hashed from the root's pool, drawing what
-    ``SeedSequence.spawn``'s child would; the first block is hashed with
-    the root's own words.
+    Runs do not spawn from it; they read those children by index
+    (``_training_children``).
     """
-    return np.random.default_rng(_indexed_root_type()(seed, TRAINING))
+    return np.random.default_rng(seed_sequence(seed, TRAINING))
 
 
 def characterization_stream(seed: int) -> np.random.Generator:
@@ -140,7 +140,7 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 # uint32 scalars: a Python int operand costs the ufunc a conversion per call
 _MIX_MULT_L, _MIX_MULT_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
 _POOL = 4
-# children hashed at a time: a training root's block, a cohort's epoch block
+# children hashed at a time: a run's cached block, a cohort's epoch block
 _EPOCH_BLOCK = 16
 
 
@@ -217,8 +217,10 @@ def _stream_children(seeds: list[int], stream: int, pool: np.ndarray, keys) -> n
     """``_children`` of each seed's ``stream`` root, whose mixed pools are ``pool``.
 
     Seeds or keys of 2**32 and above take more than one entropy word and go
-    through ``SeedSequence`` itself.
+    through ``SeedSequence`` itself; negative keys raise ``ParameterError``.
     """
+    if min(keys, default=0) < 0:
+        raise ParameterError("spawn keys must be >= 0")
     wide_keys = max(keys, default=0) > _MASK32
     children = (np.empty((len(seeds), len(keys), _POOL), np.uint64) if wide_keys
                 else _children(pool, keys))
@@ -229,22 +231,33 @@ def _stream_children(seeds: list[int], stream: int, pool: np.ndarray, keys) -> n
     return children
 
 
-def stream_words(seeds, stream: int, spawn_keys=()) -> tuple[np.ndarray, np.ndarray]:
-    """PCG64 seed words of each seed's ``stream`` children and root, for many seeds at once.
+@functools.lru_cache(maxsize=4)
+def _training_block(seed: int, start: int) -> np.ndarray:
+    """Read-only PCG64 seed words of children ``start .. start + 15`` of ``seed``'s training root.
 
-    Returns ``(children, roots)``: ``children[i, j]`` is
-    ``SeedSequence((seeds[i], stream), spawn_key=(spawn_keys[j],)).generate_state(4,
-    np.uint64)`` and ``roots[i]`` the same without the spawn key. Each
-    seed's pool is mixed once (``_pools``); a root's words are the state
-    hash of its pool and a child's the state hash of the pool with its key
-    word mixed in (``_children``). ``run_cohort`` composes the same pieces.
+    The last four blocks are cached, so both runs of a two-pattern protocol
+    read one block when their epochs fit in it.
     """
-    seeds = [int(s) for s in seeds]
-    keys = tuple(int(k) for k in spawn_keys)
-    if any(k < 0 for k in keys):
-        raise ParameterError("spawn keys must be >= 0")
-    pool = _pools(seeds, stream)
-    return _stream_children(seeds, stream, pool, keys), _pcg64_words(pool)
+    root = seed_sequence(seed, TRAINING)
+    keys = range(start, start + _EPOCH_BLOCK)
+    words = _stream_children([seed], TRAINING, root.pool[None], keys)[0]
+    words.flags.writeable = False
+    return words
+
+
+def _training_children(seed: int, first: int) -> Iterator[np.random.Generator]:
+    """Generators of children ``first``, ``first + 1``, ... of ``seed``'s training root.
+
+    Child k draws what ``SeedSequence((seed, 1), spawn_key=(k,))``'s
+    generator draws. Children are read from blocks of ``_EPOCH_BLOCK`` keys
+    aligned to multiples of the block size, each hashed when first reached.
+    """
+    if first < 0:
+        raise ParameterError(f"stream offsets must be >= 0, got {first}")
+    start = first - first % _EPOCH_BLOCK
+    blocks = (_training_block(seed, s) for s in itertools.count(start, _EPOCH_BLOCK))
+    words = itertools.islice(itertools.chain.from_iterable(blocks), first - start, None)
+    return map(word_generator, words)
 
 
 @functools.cache
@@ -263,53 +276,6 @@ def _seed_words_type() -> type:
             return self.words
 
     return SeedWords
-
-
-@functools.cache
-def _indexed_root_type() -> type:
-    """A root ``ISpawnableSeedSequence`` whose children are ``SeedWords``; built on first use."""
-
-    class IndexedRoot(np.random.bit_generator.ISpawnableSeedSequence):
-        """``seed_sequence(seed, stream)``, with one spawn counter for every way of spawning.
-
-        Child k seeds its ``PCG64`` exactly as ``SeedSequence((seed, stream),
-        spawn_key=(k,))`` does, from the ``_EPOCH_BLOCK`` keys hashed with
-        the last key that missed the block. The root's own words are hashed
-        with the first block, and serve ``PCG64``'s ``(4, uint64)`` request.
-        Seeds and keys of 2**32 and above take more than one entropy word,
-        and their roots and children are that ``SeedSequence``.
-        """
-
-        def __init__(self, seed: int, stream: int):
-            self.seed, self.stream = seed, stream
-            self.root = seed_sequence(seed, stream)
-            self.n_children_spawned = 0
-            self.block, self.words, self.root_words = range(0), None, None
-            if seed <= _MASK32:
-                pool, self.block = self.root.pool, range(_EPOCH_BLOCK)
-                pools = np.concatenate((pool[None], _mix(pool, _key_words(self.block))))
-                words = _pcg64_words(pools)
-                self.root_words, self.words = words[0], words[1:]
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words == 4 and dtype is np.uint64 and self.root_words is not None:
-                return self.root_words
-            return self.root.generate_state(n_words, dtype)
-
-        def spawn(self, n_children: int) -> list:
-            keys = range(self.n_children_spawned, self.n_children_spawned + n_children)
-            self.n_children_spawned = keys.stop
-            return [self._child(k) for k in keys]
-
-        def _child(self, key: int):
-            if key not in self.block:
-                if self.seed > _MASK32 or not 0 <= key <= _MASK32:
-                    return seed_sequence(self.seed, self.stream, (key,))
-                self.block = range(key, min(key + _EPOCH_BLOCK, _MASK32 + 1))
-                self.words = _children(self.root.pool, self.block)
-            return _seed_words_type()(self.words[key - self.block.start])
-
-    return IndexedRoot
 
 
 def word_generator(words: np.ndarray) -> np.random.Generator:

@@ -28,7 +28,7 @@ import sys
 
 from . import __version__
 from ._io import ensure_out_dir, remove_stale, write_json, write_map_csv
-from .calibrated import calibrated_device_params, training_stream
+from .calibrated import calibrated_device_params
 from .config import (
     RunConfig,
     apply_config_file,
@@ -104,7 +104,7 @@ def cmd_learn(cfg: RunConfig) -> int:
     check_shipped_patterns(cfg.network)
     out = ensure_out_dir(cfg.out)
     arr = build_array(ArrayGeometry(), cfg.device, cfg.variation(), cfg.seed)
-    first, second = run_two_pattern_protocol(arr, cfg.network, training_stream(cfg.seed))
+    first, second = run_two_pattern_protocol(arr, cfg.network)
     prov = {**provenance_header(cfg.seed, cfg.device, cfg.network), "cv": f"{cfg.cv:.2f}"}
 
     for tag, trace in (("1", first), ("2", second)):

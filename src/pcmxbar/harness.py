@@ -30,7 +30,6 @@ from .calibrated import (
     calibrated_device_params,
     calibrated_variation,
     characterization_stream,
-    training_stream,
 )
 from .crossbar import ArrayGeometry, build_array, resistance_map
 from .device import (
@@ -347,8 +346,7 @@ def sweep_figures(
             ArrayGeometry(), params, VariationSpec(cv=cv, device_share=device_share), rep
         )
         trace = run_learning(
-            arr, PATTERN_ONE, MISSING_PIXEL_ONE, traj_cfg, training_stream(rep),
-            threshold=math.inf, record_maps=False,
+            arr, PATTERN_ONE, MISSING_PIXEL_ONE, traj_cfg, threshold=math.inf, record_maps=False
         )
         thr_15 = compute_threshold(arr.initial_resistance, replace(network, c_factor=1.5))
         thr_2 = compute_threshold(arr.initial_resistance, network)
@@ -417,7 +415,7 @@ def reproduce_figures(
         cv_prov = {**prov, "cv": tag, "representative_seed": rep}
 
         arr = build_array(ArrayGeometry(), params, calibrated_variation(cv), rep)
-        first, second = run_two_pattern_protocol(arr, network, training_stream(rep))
+        first, second = run_two_pattern_protocol(arr, network)
         if cv == 0.60:
             maps = first.normalized_maps + second.normalized_maps[1:]
             for k, m in enumerate(maps):

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .calibrated import BUILD, CALIBRATED_DEVICE_SHARE, TRAINING, word_generator
-from .calibrated import _EPOCH_BLOCK, _pcg64_words, _pools, _stream_children
+from .calibrated import _EPOCH_BLOCK, _pcg64_words, _pools, _stream_children, _training_children
 from .crossbar import (
     ArrayGeometry,
     CrossbarState,
@@ -376,15 +376,17 @@ def run_learning(
     pattern: Pattern,
     missing_pixel: int,
     config: NetworkConfig,
-    rng: np.random.Generator,
     *,
+    stream_offset: int = 0,
     threshold: float | None = None,
     record_maps: bool = True,
 ) -> LearningTrace:
     """Train until the missing pixel recalls or the epoch budget runs out.
 
-    Each epoch draws from its own spawned child stream, so traces replay
-    exactly from the same root generator regardless of where they stop.
+    Epoch k draws from child ``stream_offset + k - 1`` of the training root
+    of ``array.seed``, read by index, so a trace replays exactly from its
+    seed and offset regardless of where it stops. A negative offset raises
+    ``ParameterError``.
     ``threshold`` defaults to ``compute_threshold`` of the as-built map;
     ``math.inf`` never recalls, so the run trains through ``max_epochs`` and
     records the full current trajectory, as the fig6 tables do.
@@ -399,6 +401,7 @@ def run_learning(
     recorded map and at the end, and the pulse counts at the end.
     """
     plan = _run_plan(array.geometry, pattern, missing_pixel, config.recall_on_count)
+    children = _training_children(array.seed, stream_offset)
     if threshold is None:
         threshold = compute_threshold(array.initial_resistance, config)
     maps = [resistance_map(array)] if record_maps else []
@@ -406,9 +409,10 @@ def run_learning(
     params = array.params
     epochs: list[EpochResult] = []
     epochs_to_recall = None
-    for epoch in range(1, config.max_epochs + 1):
-        result = _epoch(stored, pulses, read, plan, pattern, threshold, config, params,
-                        rng.spawn(1)[0], epoch)
+    # the budget is checked first, so no block past the last epoch is hashed
+    for epoch, rng in zip(range(1, config.max_epochs + 1), children):
+        result = _epoch(stored, pulses, read, plan, pattern, threshold, config, params, rng,
+                        epoch)
         epochs.append(result)
         if record_maps:
             array.resistance.put(plan.flat, stored)
@@ -478,7 +482,7 @@ def run_cohort(
     A seed's build draws do not depend on the cv, and its epoch-k training
     child depends only on the seed and k, so each seed draws once for all
     cvs. Each seed's build and training pools are mixed once per cohort,
-    for all seeds at once, as ``stream_words`` does. The build roots are
+    for all seeds at once (``_pools``). The build roots are
     hashed from their pools up front; while any of a seed's cvs still
     trains, its epoch children are hashed from its training pool in blocks
     of ``_EPOCH_BLOCK`` epochs, for the seeds still training only, so memory
@@ -582,19 +586,20 @@ def run_cohort(
 
 
 def run_two_pattern_protocol(
-    array: CrossbarState, config: NetworkConfig, rng: np.random.Generator
+    array: CrossbarState, config: NetworkConfig
 ) -> tuple[LearningTrace, LearningTrace]:
     """Store both patterns back to back on one array, no reset in between.
 
     The threshold comes from the as-built map and is shared by both runs;
-    the training stream simply continues from the first run into the second.
+    the training stream continues from the first run into the second, whose
+    first epoch reads child ``e1`` of the root after the first run's ``e1``
+    epochs.
     """
     threshold = compute_threshold(array.initial_resistance, config)
-    first = run_learning(
-        array, PATTERN_ONE, MISSING_PIXEL_ONE, config, rng, threshold=threshold
-    )
+    first = run_learning(array, PATTERN_ONE, MISSING_PIXEL_ONE, config, threshold=threshold)
     second = run_learning(
-        array, PATTERN_TWO, MISSING_PIXEL_TWO, config, rng, threshold=threshold
+        array, PATTERN_TWO, MISSING_PIXEL_TWO, config, stream_offset=len(first.epochs),
+        threshold=threshold,
     )
     return first, second
 

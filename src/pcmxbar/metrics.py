@@ -11,13 +11,14 @@ monotone, so these two products decide for every epoch of the run.
 from __future__ import annotations
 
 import functools
+import numbers
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._io import write_csv
-from .calibrated import CALIBRATED_DEVICE_SHARE, training_stream
+from .calibrated import CALIBRATED_DEVICE_SHARE
 from .crossbar import ArrayGeometry, build_array
 from .device import DeviceParams, VariationSpec
 from .errors import ParameterError, ProtocolError
@@ -78,13 +79,24 @@ class SensitivityResult:
 
 
 @functools.lru_cache(maxsize=8)
-def _check_grid(grid: tuple) -> None:
-    """Raise unless ``grid`` ascends strictly within (0, 1); each distinct grid passes once."""
-    last = 0.0
+def _checked_grid(grid: tuple) -> tuple[float, ...]:
+    """``grid`` as floats; raise unless it ascends strictly within (0, 1).
+
+    Numpy scalars and 0-d arrays are read as floats; any other entry that
+    is not a real number raises ``ParameterError``. Each distinct hashable
+    grid is checked once.
+    """
+    values = [0.0]
     for d in grid:
-        if not 0.0 < d < 1.0 or d <= last:
+        if isinstance(d, np.ndarray) and d.ndim == 0:
+            d = d[()]
+        if not isinstance(d, numbers.Real):
+            raise ParameterError(f"perturbation grid entries must be real numbers, got {d!r}")
+        d = float(d)
+        if not 0.0 < d < 1.0 or d <= values[-1]:
             raise ParameterError("perturbation grid must be ascending within (0, 1)")
-        last = d
+        values.append(d)
+    return tuple(values[1:])
 
 
 def read_voltage_sensitivity(
@@ -107,14 +119,16 @@ def read_voltage_sensitivity(
     in epoch one has no ``M``, so only a lowered bias can flip it. Returns
     the sentinel (None) when no grid entry flips. Raises ProtocolError when
     the unperturbed run never recalls: there is no baseline to compare with.
-    ``grid`` may be any iterable; it is read once, into a tuple.
+    ``grid`` may be any iterable of real numbers; it is read once, into a
+    tuple of floats.
     """
     grid = tuple(grid)
-    _check_grid(grid)
+    try:
+        grid = _checked_grid(grid)
+    except TypeError:  # an unhashable entry, such as a 0-d array: checked uncached
+        grid = _checked_grid.__wrapped__(grid)
     arr = build_array(ArrayGeometry(), params, variation, seed)
-    trace = run_learning(
-        arr, PATTERN_ONE, MISSING_PIXEL_ONE, network, training_stream(seed), record_maps=False
-    )
+    trace = run_learning(arr, PATTERN_ONE, MISSING_PIXEL_ONE, network, record_maps=False)
     if not trace.converged:
         raise ProtocolError(
             f"baseline run (cv={variation.cv}, seed={seed}) never recalled; "

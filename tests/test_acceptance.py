@@ -28,7 +28,6 @@ from pcmxbar.calibrated import (
     VARIATION_LEVELS,
     calibrated_device_params,
     calibrated_variation,
-    training_stream,
 )
 from pcmxbar.hopfield import (
     MISSING_PIXEL_ONE,
@@ -69,8 +68,7 @@ def family():
         pairs = []
         for seed in range(200):
             arr = build_array(ArrayGeometry(), CAL_PARAMS, var, seed)
-            rng = np.random.default_rng(training_stream(seed))
-            pairs.append(run_two_pattern_protocol(arr, NETWORK, rng))
+            pairs.append(run_two_pattern_protocol(arr, NETWORK))
         runs[cv] = pairs
     return runs, time.perf_counter() - t0
 
@@ -356,8 +354,7 @@ def test_c8_normalized_map_initialization(verdict):
         arr = build_array(
             ArrayGeometry(), CAL_PARAMS, calibrated_variation(0.24), seed
         )
-        rng = np.random.default_rng(training_stream(seed))
-        run_learning(arr, PATTERN_ONE, MISSING_PIXEL_ONE, NETWORK, rng)
+        run_learning(arr, PATTERN_ONE, MISSING_PIXEL_ONE, NETWORK)
         m = resistance_map(arr)
         if not np.all(m[np.ix_(idle, idle)] == 1.0):
             block_ok = False

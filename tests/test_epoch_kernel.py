@@ -10,7 +10,9 @@ and memory layout.
 ``reference_epoch`` is the scalar epoch as it was composed before
 ``run_learning`` gathered its run's state: ``apply_update_phase`` on the
 array, then ``read_recall_currents``, then the read block's energy. Runs,
-two-pattern protocols and ``train_epoch`` loops must match it with ``==``.
+two-pattern protocols and ``train_epoch`` loops must match it with ``==``,
+each reference epoch drawing from a child spawned by NumPy's own
+``SeedSequence`` training root.
 """
 
 import math
@@ -26,7 +28,6 @@ from pcmxbar.calibrated import (
     TRAINING,
     calibrated_device_params,
     calibrated_variation,
-    training_stream,
 )
 from pcmxbar.crossbar import (
     ArrayGeometry,
@@ -127,6 +128,11 @@ def reference_epoch(array, pattern, partial, threshold, config, rng, epoch_index
         read_energy=read_energy,
         epoch_energy=program_energy + read_energy,
     )
+
+
+def seed_sequence_root(seed):
+    """The training root of ``seed`` as NumPy builds it, spawning through ``SeedSequence``."""
+    return np.random.default_rng(np.random.SeedSequence((seed, TRAINING)))
 
 
 def reference_run(array, pattern, missing, config, rng, *, threshold=None, record_maps=True):
@@ -332,13 +338,13 @@ def test_scalar_runs_match_the_reference(
     new, old = _programmed(params, cv, seed, max_pulses, layout)
     config = NetworkConfig(max_epochs=max_epochs)
     if protocol == "run_learning":
-        got = [run_learning(new, PATTERN_ONE, MISSING_PIXEL_ONE, config, training_stream(seed),
+        got = [run_learning(new, PATTERN_ONE, MISSING_PIXEL_ONE, config,
                             threshold=threshold, record_maps=record_maps)]
-        want = [reference_run(old, PATTERN_ONE, MISSING_PIXEL_ONE, config, training_stream(seed),
+        want = [reference_run(old, PATTERN_ONE, MISSING_PIXEL_ONE, config, seed_sequence_root(seed),
                               threshold=threshold, record_maps=record_maps)]
     elif protocol == "run_two_pattern_protocol":
-        got = run_two_pattern_protocol(new, config, training_stream(seed))
-        rng = training_stream(seed)
+        got = run_two_pattern_protocol(new, config)
+        rng = seed_sequence_root(seed)  # pattern two spawns on from pattern one's last child
         want = [reference_run(old, pattern, missing, config, rng,
                               threshold=compute_threshold(old.initial_resistance, config))
                 for pattern, missing in ((PATTERN_ONE, MISSING_PIXEL_ONE),
@@ -349,7 +355,7 @@ def test_scalar_runs_match_the_reference(
         if threshold is None:
             threshold = compute_threshold(old.initial_resistance, config)
         got, want = (
-            _epochs(epoch, arr, PATTERN_ONE, partial, threshold, config, training_stream(seed))
+            _epochs(epoch, arr, PATTERN_ONE, partial, threshold, config, seed_sequence_root(seed))
             for epoch, arr in ((train_epoch, new), (reference_epoch, old))
         )
         assert got == want
@@ -361,6 +367,23 @@ def test_scalar_runs_match_the_reference(
             assert np.array_equal(a, b)
     for a, b in zip(_state(new), _state(old)):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("offset", [1, 5, 16, 31])
+def test_stream_offset_starts_the_run_at_that_child(offset):
+    # a run at offset s trains as a reference run on a root that already spawned s children
+    params = calibrated_device_params()
+    new, old = (build_array(ArrayGeometry(), params, calibrated_variation(0.60), 3) for _ in "ab")
+    config = NetworkConfig(max_epochs=20)
+    rng = seed_sequence_root(3)
+    rng.spawn(offset)
+    got = run_learning(new, PATTERN_ONE, MISSING_PIXEL_ONE, config, stream_offset=offset)
+    want = reference_run(old, PATTERN_ONE, MISSING_PIXEL_ONE, config, rng)
+    assert got.to_dict() == want.to_dict()
+    assert got.to_dict() != run_learning(
+        build_array(ArrayGeometry(), params, calibrated_variation(0.60), 3),
+        PATTERN_ONE, MISSING_PIXEL_ONE, config,
+    ).to_dict()
 
 
 def test_epoch_loop_builds_no_indices(monkeypatch):
@@ -379,7 +402,7 @@ def test_epoch_loop_builds_no_indices(monkeypatch):
     def run(max_epochs):
         arr = build_array(ArrayGeometry(), params, calibrated_variation(0.60), 4)
         config = NetworkConfig(max_epochs=max_epochs)
-        return run_learning(arr, PATTERN_ONE, MISSING_PIXEL_ONE, config, training_stream(4),
+        return run_learning(arr, PATTERN_ONE, MISSING_PIXEL_ONE, config,
                             threshold=math.inf).to_dict()
 
     lookups = []

@@ -1,11 +1,13 @@
 """Golden outputs: the sha256 of every file default ``sweep`` and ``calibrate`` write,
 and one digest over all the files of ``learn``, ``characterize`` and
-``reproduce_figures`` at seed 0.
+``reproduce_figures`` at seed 0, and of ``learn --cv 0.60`` at two seeds
+wider than one 32-bit word.
 
 The ``sweep`` and ``calibrate`` digests were taken before the cohort
-engine's streams moved to ``stream_words``, the others before the
-provenance header got its one builder; any change to what these commands
-simulate or how they format it shows up here as a changed digest.
+engine hashed its streams from mixed pools, the seed-0 directory digests
+before the provenance header got its one builder, and the wide-seed ones
+before runs read their epoch streams by index; any change to what these
+commands simulate or how they format it shows up here as a changed digest.
 """
 
 import hashlib
@@ -40,6 +42,11 @@ GOLDEN_DIRS = {
     ("characterize",):
         (3, "260076b5095e2db2ee2e07e58c6b67a0495da9dfd1f65ff3cb0ee3c5512c2287"),
 }
+# seeds of two and of four entropy words, whose streams go through SeedSequence itself
+GOLDEN_WIDE_SEEDS = {
+    4294967301: (33, "6720448b6b945eff425b57e55deb9b678c9f077d4bf8b4ee043165b76dc96dd9"),
+    2**96 + 1: (19, "d4261f95b92a93ae9dbebe13d8e7623c43d0b0e12dae04404cedf8c1ad6a918a"),
+}
 GOLDEN_REPRODUCE = (39, "5dd73a8448d5a9c8542ee78b993f0ec3b894f5b4c6062a1864cc7e210678c3d6")
 
 
@@ -64,6 +71,15 @@ def test_seed_zero_outputs_match_golden_directory_digests(tmp_path, monkeypatch,
         monkeypatch.delenv(name)
     assert main([*argv, "--seed", "0", "--quiet", "--out", str(tmp_path)]) == 0
     assert _directory_digest(tmp_path) == GOLDEN_DIRS[argv]
+
+
+@pytest.mark.parametrize("seed", list(GOLDEN_WIDE_SEEDS), ids=["2**32+5", "2**96+1"])
+def test_wide_seed_learn_outputs_match_golden_directory_digests(tmp_path, monkeypatch, seed):
+    for name in [k for k in os.environ if k.startswith("PCMXBAR_")]:
+        monkeypatch.delenv(name)
+    argv = ["learn", "--cv", "0.60", "--seed", str(seed), "--quiet", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert _directory_digest(tmp_path) == GOLDEN_WIDE_SEEDS[seed]
 
 
 def test_reproduce_figures_matches_golden_directory_digest(tmp_path):

@@ -1,5 +1,6 @@
 """Calibrated configuration, device characterization, figure-data scripts."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from pcmxbar.calibrated import (
     calibrated_device_params,
     calibrated_variation,
     seed_sequence,
-    stream_words,
     training_stream,
     word_generator,
 )
@@ -42,7 +42,13 @@ from pcmxbar.harness import (
     reproduce_figures,
     sweep_figures,
 )
-from pcmxbar.hopfield import PATTERN_ONE, NetworkConfig, run_cohort, run_learning
+from pcmxbar.hopfield import (
+    PATTERN_ONE,
+    NetworkConfig,
+    run_cohort,
+    run_learning,
+    run_two_pattern_protocol,
+)
 from pcmxbar.metrics import read_voltage_sensitivity
 
 ALPHA = (1.0e4 / 3.0e6) ** (1.0 / 9.0)
@@ -120,9 +126,7 @@ def test_calibrated_medians_near_targets():
         epochs = []
         for seed in range(25):
             arr = build_array(ArrayGeometry(), params, calibrated_variation(cv), seed)
-            trace = run_learning(
-                arr, PATTERN_ONE, 6, cfg, training_stream(seed), record_maps=False
-            )
+            trace = run_learning(arr, PATTERN_ONE, 6, cfg, record_maps=False)
             assert trace.converged
             epochs.append(trace.epochs_to_recall)
         medians[cv] = float(np.median(epochs))
@@ -137,24 +141,30 @@ def test_training_stream_keying():
 
 
 @pytest.mark.parametrize("stream", [0, 1])
-def test_stream_words_match_seed_sequence(stream):
-    # one entropy word below 2**32; the wider seeds take the SeedSequence fallback
+def test_pools_and_stream_children_match_seed_sequence(stream):
+    # one entropy word below 2**32; the wider seeds and keys take the SeedSequence fallback
     seeds = [0, 1, 2**32 - 1, 2**32, 2**64]
-    keys = range(201)
-    children, roots = stream_words(seeds, stream, keys)
-    assert children.shape == (len(seeds), len(keys), 4)
-    assert roots.shape == (len(seeds), 4)
-    for i, seed in enumerate(seeds):
-        root = np.random.SeedSequence((seed, stream))
-        assert np.array_equal(roots[i], root.generate_state(4, np.uint64))
-        for j, k in enumerate(keys):
-            child = np.random.SeedSequence((seed, stream), spawn_key=(k,))
-            assert np.array_equal(children[i, j], child.generate_state(4, np.uint64))
+    pools = calibrated._pools(seeds, stream)
+    assert pools.shape == (len(seeds), 4)
+    roots = calibrated._pcg64_words(pools)
+    for keys in (range(201), range(2**32 - 2, 2**32 + 2)):
+        children = calibrated._stream_children(seeds, stream, pools, keys)
+        assert children.shape == (len(seeds), len(keys), 4)
+        for i, seed in enumerate(seeds):
+            root = np.random.SeedSequence((seed, stream))
+            assert np.array_equal(pools[i], root.pool)
+            assert np.array_equal(roots[i], root.generate_state(4, np.uint64))
+            for j, k in enumerate(keys):
+                child = np.random.SeedSequence((seed, stream), spawn_key=(k,))
+                assert np.array_equal(children[i, j], child.generate_state(4, np.uint64))
 
 
 def test_word_generator_replays_the_spawned_child():
-    children, roots = stream_words([9, 2**32], 1, [0, 4])
-    for i, seed in enumerate([9, 2**32]):
+    seeds = [9, 2**32]
+    pools = calibrated._pools(seeds, calibrated.TRAINING)
+    children = calibrated._stream_children(seeds, calibrated.TRAINING, pools, (0, 4))
+    roots = calibrated._pcg64_words(pools)
+    for i, seed in enumerate(seeds):
         spawned = training_stream(seed).spawn(5)
         for j, k in enumerate([0, 4]):
             assert np.array_equal(
@@ -171,75 +181,36 @@ def test_word_generator_replays_the_spawned_child():
     )
 
 
-SPAWN_SEEDS = st.sampled_from((0, 1, 2**32 - 1, 2**32, 2**40 + 7)) | st.integers(0, 2**33)
-# one spawn: through the generator, its bit generator or its seed sequence, n children
-SPAWNS = st.lists(
-    st.tuples(st.sampled_from(("generator", "bit_generator", "seed_seq")), st.integers(1, 4)),
-    min_size=1, max_size=8,
+def assert_children_match(children, seed, keys):
+    """Each of ``children`` draws what ``SeedSequence((seed, 1), spawn_key=(k,))`` does."""
+    for k, child in zip(keys, children, strict=True):
+        reference = np.random.default_rng(np.random.SeedSequence((seed, 1), spawn_key=(k,)))
+        assert child.standard_normal(7).tolist() == reference.standard_normal(7).tolist()
+        assert child.integers(2**63, size=2).tolist() == reference.integers(2**63, size=2).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.sampled_from((0, 1, 2**32 - 1, 2**32, 2**40 + 7)) | st.integers(0, 2**33),
+    first=st.sampled_from((0, 1, 15, 16, 31, 2**32 - 41, 2**32 - 16, 2**32))
+    | st.integers(0, 2**33),
 )
+# 41 children from an offset, past block edges and, near 2**32, past the one-word keys
+@example(seed=0, first=0)
+@example(seed=7, first=10)
+@example(seed=2**32 - 1, first=2**32 - 20)
+@example(seed=2**32, first=31)
+@example(seed=2**64, first=2**32 - 1)
+@example(seed=2**96, first=5)
+@example(seed=2**128, first=16)
+def test_training_children_match_seed_sequence_spawning(seed, first):
+    # child k of the reader draws what the root's spawned child k draws
+    children = itertools.islice(calibrated._training_children(seed, first), 41)
+    assert_children_match(children, seed, range(first, first + 41))
 
 
-def spawn_children(rng, via, n):
-    if via == "generator":
-        return rng.spawn(n)
-    if via == "bit_generator":
-        return [np.random.Generator(b) for b in rng.bit_generator.spawn(n)]
-    return [np.random.default_rng(s) for s in rng.bit_generator.seed_seq.spawn(n)]
-
-
-@settings(max_examples=120, deadline=None)
-@given(seed=SPAWN_SEEDS, spawns=SPAWNS | st.integers(1, 6).map(lambda n: [("generator", 1)] * n),
-       root_draws=st.integers(0, 3))
-# root draws, then 40 single spawns as run_learning's epochs take them, past two block edges
-@example(seed=0, spawns=[("generator", 1)] * 40, root_draws=3)
-@example(seed=7, spawns=[("generator", 1)] * 40, root_draws=3)
-@example(seed=2**32 - 1, spawns=[("generator", 1)] * 40, root_draws=3)
-@example(seed=2**32, spawns=[("generator", 1)] * 40, root_draws=3)
-@example(seed=2**64, spawns=[("generator", 1)] * 40, root_draws=3)
-def test_training_children_match_seed_sequence_spawning(seed, spawns, root_draws):
-    # every way of spawning counts on one sequence, as SeedSequence's own
-    # counter does, and each child draws what SeedSequence's child does
-    ours = training_stream(seed)
-    reference = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-    assert np.array_equal(ours.standard_normal(root_draws), reference.standard_normal(root_draws))
-    for via, n in spawns:
-        mine, theirs = spawn_children(ours, via, n), spawn_children(reference, via, n)
-        assert len(mine) == len(theirs) == n
-        for a, b in zip(mine, theirs):
-            assert np.array_equal(a.standard_normal(7), b.standard_normal(7))
-            assert a.integers(2**63, size=2).tolist() == b.integers(2**63, size=2).tolist()
-    spawned = sum(n for _, n in spawns)
-    assert ours.bit_generator.seed_seq.n_children_spawned == spawned
-    assert np.array_equal(ours.standard_normal(5), reference.standard_normal(5))
-
-
-def test_training_children_past_one_key_word_take_seed_sequence():
-    # a spawn index of 2**32 needs two key words; the root falls back to SeedSequence
-    ours = training_stream(5).bit_generator.seed_seq
-    ours.n_children_spawned = 2**32 - 1
-    children = ours.spawn(2)
-    for k, child in zip((2**32 - 1, 2**32), children):
-        expected = np.random.SeedSequence((5, 1), spawn_key=(k,)).generate_state(4, np.uint64)
-        assert np.array_equal(child.generate_state(4, np.uint64), expected)
-
-
-def test_stream_words_reject_negative_seeds():
-    with pytest.raises(ParameterError):
-        stream_words([3, -1], 1, range(2))
-
-
-def seed_sequence_words(seed, keys):
-    return [
-        np.random.SeedSequence((seed, 1), spawn_key=(k,)).generate_state(4, np.uint64).tolist()
-        for k in keys
-    ]
-
-
-def child_words(children):
-    return [child.generate_state(4, np.uint64).tolist() for child in children]
-
-
-def test_training_children_served_from_blocks_match_seed_sequence(monkeypatch):
+def counting_blocks(monkeypatch):
+    """Record the keys of every block ``_children`` hashes, from a cold block cache."""
     blocks = []
     real = calibrated._children
 
@@ -248,53 +219,60 @@ def test_training_children_served_from_blocks_match_seed_sequence(monkeypatch):
         return real(pool, keys)
 
     monkeypatch.setattr(calibrated, "_children", counting)
-    # 40 single spawns, as run_learning's epochs take them, cross two block edges
-    rng, reference = training_stream(7), np.random.default_rng(np.random.SeedSequence((7, 1)))
-    for _ in range(40):
-        ours, theirs = rng.spawn(1)[0], reference.spawn(1)[0]
-        assert ours.standard_normal(25).tolist() == theirs.standard_normal(25).tolist()
-    # block 0 is hashed with the root's own words when the root is made
-    assert blocks == [range(16, 32), range(32, 48)]
-
-    # one spawn that spans a block edge
-    root = training_stream(7).bit_generator.seed_seq
-    root.n_children_spawned = 10
-    assert child_words(root.spawn(20)) == seed_sequence_words(7, range(10, 30))
-    assert blocks[2:] == [range(16, 32)]
-    # the counter set back inside the last block reuses it; set past it, a new block
-    root.n_children_spawned = 27
-    assert child_words(root.spawn(3)) == seed_sequence_words(7, range(27, 30))
-    root.n_children_spawned = 100
-    assert child_words(root.spawn(2)) == seed_sequence_words(7, range(100, 102))
-    assert blocks[3:] == [range(100, 116)]
-    assert root.n_children_spawned == 102
-
-    # a block is clipped at the last one-word key; the keys past it take SeedSequence
-    root.n_children_spawned = 2**32 - 3
-    children = root.spawn(5)
-    assert child_words(children) == seed_sequence_words(7, range(2**32 - 3, 2**32 + 2))
-    assert blocks[4:] == [range(2**32 - 3, 2**32)]
-    assert [type(c) is np.random.SeedSequence for c in children] == [False] * 3 + [True] * 2
+    calibrated._training_block.cache_clear()
+    return blocks
 
 
-def test_training_root_hashes_its_words_with_its_first_block(monkeypatch):
-    calls = []
-    real = calibrated._pcg64_words
+def test_training_children_past_one_key_word_take_seed_sequence(monkeypatch):
+    # a key of 2**32 needs two key words; its block of 16 comes from SeedSequence itself
+    blocks = counting_blocks(monkeypatch)
+    children = itertools.islice(calibrated._training_children(5, 2**32 - 1), 2)
+    assert_children_match(children, 5, (2**32 - 1, 2**32))
+    assert blocks == [range(2**32 - 16, 2**32)]
+    assert calibrated._training_block.cache_info().misses == 2
 
-    def counting(pool):
-        calls.append(pool.shape)
-        return real(pool)
 
-    monkeypatch.setattr(calibrated, "_pcg64_words", counting)
-    rng = training_stream(7)
-    assert calls == [(17, 4)]  # the root's pool and its children 0-15, in one call
-    children = [rng.spawn(1)[0] for _ in range(16)]
-    assert calls == [(17, 4)]
-    rng.spawn(1)
-    assert calls == [(17, 4), (16, 4)]
-    reference = np.random.SeedSequence((7, 1)).spawn(16)
-    assert [c.bit_generator.seed_seq.generate_state(4, np.uint64).tolist() for c in children] \
-        == child_words(reference)
+def test_training_children_served_from_blocks_match_seed_sequence(monkeypatch):
+    blocks = counting_blocks(monkeypatch)
+    # 40 children, as a run's 40 epochs take them: one _children call serves 16,
+    # and a block is hashed only when its first child is reached
+    children = calibrated._training_children(7, 0)
+    for k in range(40):
+        assert_children_match([next(children)], 7, [k])
+        assert len(blocks) == k // 16 + 1
+    assert blocks == [range(0, 16), range(16, 32), range(32, 48)]
+    # an offset inside a cached block hashes nothing; one past them hashes its aligned block
+    children = itertools.islice(calibrated._training_children(7, 20), 5)
+    assert_children_match(children, 7, range(20, 25))
+    assert len(blocks) == 3
+    children = itertools.islice(calibrated._training_children(7, 100), 2)
+    assert_children_match(children, 7, range(100, 102))
+    assert blocks[3:] == [range(96, 112)]
+    # the cached words are read-only
+    assert not calibrated._training_block(7, 96).flags.writeable
+
+
+def test_a_protocol_of_sixteen_epochs_hashes_one_block(monkeypatch):
+    # pattern two reads on from child e1, from the block pattern one left cached,
+    # and a run checks its budget before it reads a child, so no block past it is hashed
+    blocks = counting_blocks(monkeypatch)
+    params = calibrated_device_params()
+    for cv, seed, n_blocks in ((0.24, 3, 1), (0.60, 3, 2)):
+        blocks.clear()
+        calibrated._training_block.cache_clear()
+        arr = build_array(ArrayGeometry(), params, calibrated_variation(cv), seed)
+        first, second = run_two_pattern_protocol(arr, NetworkConfig())
+        epochs = len(first.epochs) + len(second.epochs)
+        assert (epochs <= 16) == (n_blocks == 1)
+        assert blocks == [range(16 * b, 16 * b + 16) for b in range(n_blocks)]
+    for max_epochs, n_blocks in ((16, 1), (17, 2), (40, 3)):
+        blocks.clear()
+        calibrated._training_block.cache_clear()
+        arr = build_array(ArrayGeometry(), params, calibrated_variation(0.60), 3)
+        trace = run_learning(arr, PATTERN_ONE, 6, NetworkConfig(max_epochs=max_epochs),
+                             threshold=math.inf, record_maps=False)
+        assert len(trace.epochs) == max_epochs
+        assert blocks == [range(16 * b, 16 * b + 16) for b in range(n_blocks)]
 
 
 ROOT_SEEDS = (
@@ -322,7 +300,12 @@ def test_root_words_hold_for_seeds_of_every_width(seed):
     [
         lambda: seed_sequence(-1, 0),
         lambda: seed_sequence(3, 1, (-1,)),
-        lambda: stream_words([3], 1, [-1]),
+        lambda: calibrated._pools([3, -1], 1),
+        lambda: calibrated._stream_children([3], 1, calibrated._pools([3], 1), range(-1, 1)),
+        lambda: run_learning(
+            build_array(ArrayGeometry(), calibrated_device_params(), calibrated_variation(0.6), 3),
+            PATTERN_ONE, 6, NetworkConfig(), stream_offset=-1,
+        ),
         lambda: build_stream(-1),
         lambda: training_stream(-1),
         lambda: characterization_stream(-1),
@@ -333,7 +316,8 @@ def test_root_words_hold_for_seeds_of_every_width(seed):
         lambda: run_cohort((0.6,), (3, -1), calibrated_device_params(), NetworkConfig()),
     ],
     ids=[
-        "seed_sequence", "seed_sequence_key", "stream_words_key", "build_stream",
+        "seed_sequence", "seed_sequence_key", "pools", "stream_children_key",
+        "run_learning_stream_offset", "build_stream",
         "training_stream", "characterization_stream", "build_array",
         "read_voltage_sensitivity", "run_cohort",
     ],

@@ -17,7 +17,6 @@ from pcmxbar.calibrated import (
     CALIBRATED_DECAY_SCHEDULE,
     CALIBRATED_DEVICE_SHARE,
     calibrated_device_params,
-    training_stream,
 )
 from pcmxbar import hopfield
 from pcmxbar.hopfield import (
@@ -203,7 +202,7 @@ def test_first_epoch_matches_hand_calculation():
 def test_zero_variation_recalls_on_second_epoch():
     arr = zero_array()
     cfg = NetworkConfig()
-    trace = run_learning(arr, PATTERN_ONE, 6, cfg, training_rng(1))
+    trace = run_learning(arr, PATTERN_ONE, 6, cfg)
     assert trace.converged
     assert trace.epochs_to_recall == 2
     assert len(trace.epochs) == 2
@@ -223,7 +222,7 @@ def test_no_false_firings_across_random_runs():
     for seed in range(15):
         cv = 0.60 if seed % 2 else 0.09
         arr = build_array(ArrayGeometry(), DeviceParams(), VariationSpec(cv=cv), seed)
-        trace = run_learning(arr, PATTERN_ONE, 6, NetworkConfig(), training_rng(seed))
+        trace = run_learning(arr, PATTERN_ONE, 6, NetworkConfig())
         assert trace.converged
         for ep in trace.epochs:
             assert ep.false_firings == frozenset()
@@ -235,7 +234,7 @@ def test_runs_replay_exactly_from_seed():
         arr = build_array(
             ArrayGeometry(), DeviceParams(), VariationSpec(cv=0.60), seed
         )
-        trace = run_learning(arr, PATTERN_ONE, 6, NetworkConfig(), training_rng(seed))
+        trace = run_learning(arr, PATTERN_ONE, 6, NetworkConfig())
         return [ep.recall_currents for ep in trace.epochs]
 
     assert currents(7) == currents(7)
@@ -245,9 +244,7 @@ def test_runs_replay_exactly_from_seed():
 def test_threshold_override_and_nonconvergence():
     arr = zero_array()
     cfg = NetworkConfig(max_epochs=5)
-    trace = run_learning(
-        arr, PATTERN_ONE, 6, cfg, training_rng(1), threshold=math.inf
-    )
+    trace = run_learning(arr, PATTERN_ONE, 6, cfg, threshold=math.inf)
     assert not trace.converged
     assert trace.epochs_to_recall is None
     assert len(trace.epochs) == 5  # ran the full budget, reported honestly
@@ -257,7 +254,7 @@ def test_trajectory_after_recall():
     # threshold infinity never recalls, so the run records every epoch of the budget
     arr = zero_array()
     cfg = NetworkConfig(max_epochs=12)
-    trace = run_learning(arr, PATTERN_ONE, 6, cfg, training_rng(1), threshold=math.inf)
+    trace = run_learning(arr, PATTERN_ONE, 6, cfg, threshold=math.inf)
     assert trace.epochs_to_recall is None
     assert len(trace.epochs) == 12
     assert len(trace.normalized_maps) == 13
@@ -296,13 +293,10 @@ def test_infinite_threshold_trains_through_the_budget(cv, seed, max_epochs, c_fa
     variation = VariationSpec(cv=cv)
     arr = build_array(ArrayGeometry(), params, variation, seed)
     trace = run_learning(
-        arr, PATTERN_ONE, MISSING_PIXEL_ONE, cfg, training_stream(seed),
-        threshold=math.inf, record_maps=False,
+        arr, PATTERN_ONE, MISSING_PIXEL_ONE, cfg, threshold=math.inf, record_maps=False
     )
     arr = build_array(ArrayGeometry(), params, variation, seed)
-    expected = train_through_budget(
-        arr, PATTERN_ONE, MISSING_PIXEL_ONE, cfg, training_stream(seed)
-    )
+    expected = train_through_budget(arr, PATTERN_ONE, MISSING_PIXEL_ONE, cfg, training_rng(seed))
     assert not trace.converged
     assert len(trace.epochs) == len(expected) == max_epochs
     for got, want in zip(trace.epochs, expected):
@@ -318,7 +312,7 @@ def test_infinite_threshold_trains_through_the_budget(cv, seed, max_epochs, c_fa
 
 def test_two_pattern_protocol_shares_threshold():
     arr = zero_array()
-    t1, t2 = run_two_pattern_protocol(arr, NetworkConfig(), training_rng(3))
+    t1, t2 = run_two_pattern_protocol(arr, NetworkConfig())
     assert t1.threshold == t2.threshold
     assert t1.epochs_to_recall == 2
     assert t2.epochs_to_recall == 2
@@ -346,7 +340,7 @@ def test_recall_only():
     partial = Pattern.from_on({1, 2, 3, 4}, n=10)
     fresh = recall_only(arr, partial, thr, cfg)
     assert fresh.on == partial.on  # nothing stored yet
-    run_learning(arr, PATTERN_ONE, 6, cfg, training_rng(1))
+    run_learning(arr, PATTERN_ONE, 6, cfg)
     completed = recall_only(arr, partial, thr, cfg)
     assert completed.on == PATTERN_ONE.on
 
@@ -370,7 +364,7 @@ def test_protocol_validation():
             rng,
         )
     with pytest.raises(ProtocolError):
-        run_learning(arr, PATTERN_ONE, 5, cfg, rng)  # 5 is not part of pattern one
+        run_learning(arr, PATTERN_ONE, 5, cfg)  # 5 is not part of pattern one
 
 
 def test_shipped_pattern_check_reads_the_plan_cache(monkeypatch):
@@ -395,7 +389,7 @@ def test_shipped_pattern_check_reads_the_plan_cache(monkeypatch):
 
 def test_trace_serializes_to_json():
     arr = zero_array()
-    trace = run_learning(arr, PATTERN_ONE, 6, NetworkConfig(), training_rng(1))
+    trace = run_learning(arr, PATTERN_ONE, 6, NetworkConfig())
     d = trace.to_dict()
     blob = json.dumps(d, sort_keys=True)
     back = json.loads(blob)
@@ -498,7 +492,7 @@ def _assert_cohort_matches_run_learning(
     for i, cv in enumerate(cvs):
         for j, seed in enumerate(seeds):
             arr = build_array(ArrayGeometry(), params, VariationSpec(cv, device_share), seed)
-            trace = run_learning(arr, pattern, missing, cfg, training_rng(seed), record_maps=False)
+            trace = run_learning(arr, pattern, missing, cfg, record_maps=False)
             assert cohort.converged[i, j] == trace.converged
             assert cohort.epochs[i, j] == len(trace.epochs)
             if trace.converged:
@@ -586,7 +580,7 @@ def _failure(call):
 def test_run_cohort_rejects_what_run_learning_rejects(geometry, pattern, missing, cfg):
     params = DeviceParams()
     arr = build_array(geometry, params, VariationSpec(cv=0.24), 1)
-    scalar = _failure(lambda: run_learning(arr, pattern, missing, cfg, training_rng(1)))
+    scalar = _failure(lambda: run_learning(arr, pattern, missing, cfg))
     batched = _failure(
         lambda: run_cohort(
             (0.24,), (1,), params, cfg, geometry=geometry, pattern=pattern, missing_pixel=missing

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcmxbar._io import write_json
-from pcmxbar.calibrated import CALIBRATED_DECAY_SCHEDULE, training_stream
+from pcmxbar.calibrated import CALIBRATED_DECAY_SCHEDULE
 from pcmxbar.config import default_run_config
 from pcmxbar.crossbar import ArrayGeometry, build_array
 from pcmxbar.device import DeviceParams, VariationSpec
@@ -41,8 +41,7 @@ def zero_trace():
     arr = build_array(
         ArrayGeometry(), DeviceParams(sigma_c2c=0.0), VariationSpec(cv=0.0), seed=1
     )
-    rng = np.random.default_rng(np.random.SeedSequence((1, 1)))
-    return run_learning(arr, PATTERN_ONE, 6, NetworkConfig(), rng), arr
+    return run_learning(arr, PATTERN_ONE, 6, NetworkConfig()), arr
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +65,7 @@ def test_epoch_energy_scale():
 
 def test_ledger_matches_trace_totals():
     arr = build_array(ArrayGeometry(), CAL_PARAMS, VariationSpec(cv=0.40), seed=11)
-    rng = np.random.default_rng(np.random.SeedSequence((11, 1)))
-    trace = run_learning(arr, PATTERN_ONE, 6, NetworkConfig(), rng)
+    trace = run_learning(arr, PATTERN_ONE, 6, NetworkConfig())
     assert trace.program_event_count == 25 * len(trace.epochs)
     assert trace.program_energy == trace.program_event_count * arr.params.e_prog
     read_energy = 0.0
@@ -107,10 +105,7 @@ def test_sensitivity_prediction_matches_full_rerun():
     def epochs_with_bias(v):
         arr = build_array(ArrayGeometry(), params, VariationSpec(cv=0.0), seed=1)
         cfg = NetworkConfig(v_read=v)
-        rng = np.random.default_rng(np.random.SeedSequence((1, 1)))
-        trace = run_learning(
-            arr, PATTERN_ONE, 6, cfg, rng, threshold=res.threshold
-        )
+        trace = run_learning(arr, PATTERN_ONE, 6, cfg, threshold=res.threshold)
         return trace.epochs_to_recall
 
     base_v = 0.1
@@ -148,6 +143,43 @@ def test_sensitivity_reads_a_one_shot_grid_once():
             run(bad)
     with pytest.raises(ParameterError):
         run((0.2, 0.1))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [["a"], [None], ["0.5"], [0.1, "0.2"], [1j], [np.array([0.1])], [np.array("a")], [[0.1]]],
+    ids=["str", "none", "numeric-str", "str-after-float", "complex", "1d-array", "0d-str",
+         "list"],
+)
+def test_sensitivity_grid_entries_must_be_real_numbers(bad):
+    with pytest.raises(ParameterError, match="real numbers"):
+        read_voltage_sensitivity(
+            DeviceParams(sigma_c2c=0.0), VariationSpec(cv=0.0), NetworkConfig(), seed=1, grid=bad
+        )
+
+
+def test_sensitivity_reads_numpy_grid_entries_as_floats():
+    params = DeviceParams(sigma_c2c=0.0)
+
+    def run(grid):
+        return read_voltage_sensitivity(
+            params, VariationSpec(cv=0.0), NetworkConfig(), seed=1, grid=grid
+        )
+
+    want = run(DEFAULT_PERTURBATION_GRID)
+    assert want.grid == DEFAULT_PERTURBATION_GRID
+    for grid in (
+        np.array(DEFAULT_PERTURBATION_GRID),
+        [np.float64(d) for d in DEFAULT_PERTURBATION_GRID],
+        [np.array(d) for d in DEFAULT_PERTURBATION_GRID],
+    ):
+        got = run(grid)
+        assert got == want
+        assert all(type(d) is float for d in got.grid)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    # a 0-d array entry is unhashable; it is read uncached, as often as it is given
+    with pytest.raises(ParameterError, match="ascending"):
+        run([np.array(0.2), np.array(0.1)])
 
 
 def test_sensitivity_requires_converged_base():
@@ -192,8 +224,7 @@ def test_sensitivity_first_epoch_margin_is_threshold_gap():
         if res.base_epochs != 1:
             continue
         arr = build_array(ArrayGeometry(), CAL_PARAMS, VariationSpec(cv=0.09), seed)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-        trace = run_learning(arr, PATTERN_ONE, 6, NetworkConfig(), rng)
+        trace = run_learning(arr, PATTERN_ONE, 6, NetworkConfig())
         assert trace.epochs_to_recall == 1
         assert trace.threshold == res.threshold
         i1 = trace.epochs[0].recall_currents[6]
@@ -209,8 +240,7 @@ def full_trajectory_sensitivity(params, variation, network, seed, *, grid=DEFAUL
     arr = build_array(ArrayGeometry(), params, variation, seed)
     threshold = compute_threshold(arr.initial_resistance, network)
     trace = run_learning(
-        arr, PATTERN_ONE, MISSING_PIXEL_ONE, network, training_stream(seed),
-        threshold=math.inf, record_maps=False,
+        arr, PATTERN_ONE, MISSING_PIXEL_ONE, network, threshold=math.inf, record_maps=False
     )
     currents = [ep.recall_currents[MISSING_PIXEL_ONE] for ep in trace.epochs]
 

@@ -1,6 +1,6 @@
-"""Module layout guards: one home for the seed streams, for the provenance
-header and for deleting outputs, a light config import, and every function
-the benchmark traces still defined."""
+"""Module layout guards: one home for the seed streams, epoch streams read by
+index, one home for the provenance header and for deleting outputs, a light
+config import, and every function the benchmark traces still defined."""
 
 import importlib
 import json
@@ -29,6 +29,14 @@ def test_seed_streams_derived_in_one_module():
         if "SeedSequence(" in path.read_text()
     )
     assert owners == ["calibrated.py"]
+
+
+def test_epoch_streams_read_by_index():
+    # every epoch stream is read by (seed, index) in calibrated; no module spawns one
+    spawners = sorted(
+        path.name for path in (SRC / "pcmxbar").glob("*.py") if ".spawn(" in path.read_text()
+    )
+    assert spawners == []
 
 
 def test_provenance_header_built_in_one_module():
