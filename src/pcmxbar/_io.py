@@ -4,9 +4,9 @@ Every output file is reproducible byte for byte: no timestamps, fixed float
 formats, sorted JSON keys, LF line endings.
 
 A CSV row is formatted by one ``%``-format, built on first use for its tuple
-of cell types and float format and then cached: ``%d`` for a bool, the float
-format for any float (``np.float64`` included), ``%s`` (that is, ``str``) for
-anything else. It gives the same text as formatting each cell on its own.
+of cell types and then cached: ``%d`` for a bool, ``%.10g`` for any float
+(``np.float64`` included), ``%s`` (that is, ``str``) for anything else. It
+gives the same text as formatting each cell on its own.
 When all rows share one length and one tuple of cell types, as figure
 tables do, one cached format covers the whole body and takes the flattened
 cells in one ``%``. A resistance map does not pass through ``write_csv``:
@@ -47,19 +47,19 @@ def provenance_lines(provenance: dict | None) -> list[str]:
 
 
 @functools.lru_cache(maxsize=256)
-def _row_format(types: tuple, float_fmt: str) -> str:
+def _row_format(types: tuple) -> str:
     return ",".join(
-        "%d" if t is bool else float_fmt if issubclass(t, float) else "%s"
+        "%d" if t is bool else "%.10g" if issubclass(t, float) else "%s"
         for t in types
     )
 
 
 @functools.lru_cache(maxsize=64)
-def _table_format(types: tuple, float_fmt: str, rows: int) -> str:
-    return "\n".join([_row_format(types, float_fmt)] * rows)
+def _table_format(types: tuple, rows: int) -> str:
+    return "\n".join([_row_format(types)] * rows)
 
 
-def write_csv(path, header, rows, provenance=None, float_fmt: str = "%.10g") -> None:
+def write_csv(path, header, rows, provenance=None) -> None:
     """Write one CSV: '#' provenance comments, a header row, then data rows."""
     lines = provenance_lines(provenance)
     lines.append(",".join(header))
@@ -68,9 +68,9 @@ def write_csv(path, header, rows, provenance=None, float_fmt: str = "%.10g") -> 
         types = tuple(map(type, rows[0]))
         cells = tuple(itertools.chain.from_iterable(rows))
         if len(set(map(len, rows))) == 1 and tuple(map(type, cells)) == types * len(rows):
-            lines.append(_table_format(types, float_fmt, len(rows)) % cells)
+            lines.append(_table_format(types, len(rows)) % cells)
         else:
-            lines.extend(_row_format(tuple(map(type, row)), float_fmt) % row for row in rows)
+            lines.extend(_row_format(tuple(map(type, row))) % row for row in rows)
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -85,9 +85,9 @@ def _map_format(rows: int, cols: int) -> str:
 def write_map_csv(path, matrix, provenance=None) -> None:
     """Write a resistance map: one row per wordline, 6 significant digits.
 
-    The text is ``write_csv``'s for the rows ``(wordline, *cells)`` at
-    ``float_fmt="%.6g"``, for a float matrix, taken through one cached format
-    per shape and one ``%`` over the flattened cells.
+    The text is ``write_csv``'s for the rows ``(wordline, *cells)``, with
+    ``%.6g`` for the float cells, taken through one cached format per shape
+    and one ``%`` over the flattened cells.
     """
     lines = provenance_lines(provenance)
     lines.append(_map_format(*matrix.shape) % tuple(matrix.ravel().tolist()))

@@ -54,7 +54,6 @@ __all__ = [
     "CHARACTERIZATION",
     "seed_sequence",
     "build_stream",
-    "training_stream",
     "characterization_stream",
     "word_generator",
 ]
@@ -119,15 +118,6 @@ def build_stream(seed: int) -> np.random.Generator:
     return word_generator(_pcg64_words(seed_sequence(seed, BUILD).pool))
 
 
-def training_stream(seed: int) -> np.random.Generator:
-    """Training root: epoch k of a run draws what its spawned child k - 1 draws.
-
-    Runs do not spawn from it; they read those children by index
-    (``_training_children``).
-    """
-    return np.random.default_rng(seed_sequence(seed, TRAINING))
-
-
 def characterization_stream(seed: int) -> np.random.Generator:
     return word_generator(_pcg64_words(seed_sequence(seed, CHARACTERIZATION).pool))
 
@@ -142,6 +132,9 @@ _MIX_MULT_L, _MIX_MULT_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL = 4
 # children hashed at a time: a run's cached block, a cohort's epoch block
 _EPOCH_BLOCK = 16
+# a root of a seed below 2**96 has at most four entropy words, which NumPy pads
+# with zeros to the pool before it appends a child's spawn key
+_WIDE_SEED = 2**96
 
 
 def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
@@ -207,8 +200,9 @@ def _key_words(keys) -> np.ndarray:
 def _children(pool: np.ndarray, keys) -> np.ndarray:
     """PCG64 seed words of the children ``keys`` of each root whose mixed pool is ``pool[..., 4]``.
 
-    Returns ``[..., len(keys), 4]``. Exact for a seed and keys below 2**32:
-    such a child's pool is its root's with one spawn-key word mixed in.
+    Returns ``[..., len(keys), 4]``. Exact for a seed below 2**96 and keys
+    below 2**32: such a child's pool is its root's with one spawn-key word
+    mixed in.
     """
     return _pcg64_words(_mix(pool[..., None, :], _key_words(keys)))
 
@@ -216,18 +210,19 @@ def _children(pool: np.ndarray, keys) -> np.ndarray:
 def _stream_children(seeds: list[int], stream: int, pool: np.ndarray, keys) -> np.ndarray:
     """``_children`` of each seed's ``stream`` root, whose mixed pools are ``pool``.
 
-    Seeds or keys of 2**32 and above take more than one entropy word and go
-    through ``SeedSequence`` itself; negative keys raise ``ParameterError``.
+    Seeds of 2**96 and above, and keys of 2**32 and above, go through
+    ``SeedSequence`` itself, and no block is hashed when every row does;
+    negative keys raise ``ParameterError``.
     """
     if min(keys, default=0) < 0:
         raise ParameterError("spawn keys must be >= 0")
     wide_keys = max(keys, default=0) > _MASK32
-    children = (np.empty((len(seeds), len(keys), _POOL), np.uint64) if wide_keys
+    wide = [i for i, s in enumerate(seeds) if wide_keys or s >= _WIDE_SEED]
+    children = (np.empty((len(seeds), len(keys), _POOL), np.uint64) if len(wide) == len(seeds)
                 else _children(pool, keys))
-    for i, s in enumerate(seeds):
-        if s > _MASK32 or wide_keys:
-            for j, k in enumerate(keys):
-                children[i, j] = seed_sequence(s, stream, (k,)).generate_state(4, np.uint64)
+    for i in wide:
+        for j, k in enumerate(keys):
+            children[i, j] = seed_sequence(seeds[i], stream, (k,)).generate_state(4, np.uint64)
     return children
 
 

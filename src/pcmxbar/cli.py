@@ -39,7 +39,13 @@ from .config import (
 )
 from .crossbar import ArrayGeometry, build_array, resistance_map
 from .errors import ConfigError, OutputError, ParameterError, ProtocolError
-from .harness import calibrate_epochs, characterize_device, provenance_header, sweep_figures
+from .harness import (
+    CALIBRATION_CANDIDATES,
+    calibrate_epochs,
+    characterize_device,
+    provenance_header,
+    sweep_figures,
+)
 from .hopfield import check_shipped_patterns, run_two_pattern_protocol
 
 EXIT_OK = 0
@@ -91,9 +97,8 @@ def _say(cfg: RunConfig, message: str) -> None:
 
 
 def cmd_characterize(cfg: RunConfig) -> int:
-    out = ensure_out_dir(cfg.out)
     tables = characterize_device(
-        cfg.device, cfg.variation(), cfg.cycles, cfg.seed, out_dir=out, network=cfg.network
+        cfg.device, cfg.variation(), cfg.cycles, cfg.seed, out_dir=cfg.out, network=cfg.network
     )
     for path in tables["paths"]:
         _say(cfg, f"wrote {path}")
@@ -157,7 +162,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     write_json(path, result.to_dict(),
                provenance=provenance_header(cfg.seed, calibrated_device_params(), cfg.network))
     _say(cfg, f"wrote {path}")
-    _say(cfg, f"best residual {result.residual} over {result.candidates_evaluated} candidates")
+    _say(cfg, f"best residual {result.residual} over {len(CALIBRATION_CANDIDATES)} candidates")
     ok = True
     for cv in sorted(result.medians, reverse=True):
         median = result.medians[cv]

@@ -1,10 +1,11 @@
 """Device characterization, epoch calibration, and figure-data scripts.
 
 ``calibrate_epochs`` re-runs the search behind the shipped staircase (see
-``pcmxbar.calibrated``): it scans schedule candidates of the same shape
-(plus noise settings) and keeps the first one whose simulated medians sit
-closest to the targets. At its default 25 seeds that is first step 0.155,
-which ties the shipped 0.163 at residual 2.0.
+``pcmxbar.calibrated``): it scans nine schedule candidates of the same shape,
+at the shipped programming noise, and keeps the first one whose simulated
+medians sit closest to the targets. At its default 25 seeds that is first
+step 0.155 (medians 12 / 8 / 5 / 1), which ties the shipped 0.163
+(11 / 7 / 5 / 1) at residual 2.0.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from . import __version__
 from ._io import ensure_out_dir, remove_stale, write_csv, write_map_csv
 from .calibrated import (
     CALIBRATED_DEVICE_SHARE,
-    CALIBRATED_SIGMA_C2C,
     VARIATION_LEVELS,
     build_decay_schedule,
     calibrated_device_params,
@@ -57,6 +57,7 @@ from .metrics import sweep_rows, write_sweep_csv
 
 __all__ = [
     "CALIBRATION_TARGETS",
+    "CALIBRATION_CANDIDATES",
     "params_fingerprint",
     "provenance_header",
     "characterize_device",
@@ -67,6 +68,8 @@ __all__ = [
 ]
 
 CALIBRATION_TARGETS = {0.60: 11, 0.40: 9, 0.24: 5, 0.09: 1}
+# (first step, tail step) of each schedule calibrate_epochs scores, in order
+CALIBRATION_CANDIDATES = tuple(itertools.product((0.155, 0.163, 0.171), (0.0100, 0.0114, 0.0130)))
 
 
 def params_fingerprint(params: DeviceParams, network: NetworkConfig) -> str:
@@ -184,27 +187,28 @@ def characterize_device(
 
 @dataclass(frozen=True)
 class CalibrationResult:
+    """The winning candidate of ``calibrate_epochs`` and its per-cv median epochs.
+
+    ``params`` holds the winning schedule and the shipped programming noise;
+    the targets, the share and the candidate grid are the module constants.
+    """
+
     params: DeviceParams
-    decay_schedule: tuple[float, ...]
-    sigma_c2c: float
-    device_share: float
     medians: dict
-    targets: dict
     residual: float
-    candidates_evaluated: int
     seeds: int
 
     def to_dict(self) -> dict:
         """JSON form; a cv that never recalls has median (and so residual) null, not inf."""
         return {
-            "decay_schedule": list(self.decay_schedule),
-            "sigma_c2c": self.sigma_c2c,
-            "device_share": self.device_share,
+            "decay_schedule": list(self.params.decay_schedule),
+            "sigma_c2c": self.params.sigma_c2c,
+            "device_share": CALIBRATED_DEVICE_SHARE,
             "medians": {f"{cv:.2f}": _finite_or_none(m)
                         for cv, m in sorted(self.medians.items(), reverse=True)},
-            "targets": {f"{cv:.2f}": t for cv, t in sorted(self.targets.items(), reverse=True)},
+            "targets": {f"{cv:.2f}": t for cv, t in CALIBRATION_TARGETS.items()},
             "residual": _finite_or_none(self.residual),
-            "candidates_evaluated": self.candidates_evaluated,
+            "candidates_evaluated": len(CALIBRATION_CANDIDATES),
             "seeds": self.seeds,
         }
 
@@ -214,56 +218,34 @@ def _finite_or_none(x: float) -> float | None:
 
 
 def calibrate_epochs(
-    targets: dict | None = None,
-    *,
-    seeds: int = 25,
-    first_fraction_grid=(0.155, 0.163, 0.171),
-    tail_fraction_grid=(0.0100, 0.0114, 0.0130),
-    sigma_grid=(CALIBRATED_SIGMA_C2C,),
-    network: NetworkConfig | None = None,
+    *, seeds: int = 25, network: NetworkConfig | None = None
 ) -> CalibrationResult:
-    """Grid search over staircase candidates against the epoch targets.
+    """Score each of ``CALIBRATION_CANDIDATES`` against ``CALIBRATION_TARGETS``.
 
-    Candidates share the shipped schedule shape and differ in the first step,
-    the tail step, and the programming noise. Each is scored by the summed
-    absolute gap between its simulated median epochs and the targets; the
-    first minimal candidate wins, so reruns are deterministic.
+    Candidates share the shipped schedule shape and programming noise and
+    differ in the first and the tail step. Each is scored by the summed
+    absolute gap between its median epochs over seeds ``0 .. seeds - 1`` and
+    the targets; the first minimal candidate wins, so reruns are
+    deterministic.
     """
     if seeds < 1:
         raise ParameterError("seeds must be >= 1")
-    targets = dict(targets) if targets is not None else dict(CALIBRATION_TARGETS)
     network = network or NetworkConfig()
     best = None
-    evaluated = 0
-    for sigma in sigma_grid:
-        for first in first_fraction_grid:
-            for tail in tail_fraction_grid:
-                params = DeviceParams(
-                    sigma_c2c=sigma, decay_schedule=build_decay_schedule(first, tail)
-                )
-                cohort = run_cohort(targets, range(seeds), params, network,
-                                    device_share=CALIBRATED_DEVICE_SHARE)
-                # a cv where no seed recalls has no median; it scores inf
-                medians = {
-                    cv: math.inf if row["median_epochs"] is None else row["median_epochs"]
-                    for cv, row in zip(targets, sweep_rows(cohort))
-                }
-                residual = sum(abs(medians[cv] - targets[cv]) for cv in targets)
-                evaluated += 1
-                if best is None or residual < best[0]:
-                    best = (residual, params, medians)
-    residual, params, medians = best
-    return CalibrationResult(
-        params=params,
-        decay_schedule=params.decay_schedule,
-        sigma_c2c=params.sigma_c2c,
-        device_share=CALIBRATED_DEVICE_SHARE,
-        medians=medians,
-        targets=targets,
-        residual=residual,
-        candidates_evaluated=evaluated,
-        seeds=seeds,
-    )
+    for first, tail in CALIBRATION_CANDIDATES:
+        params = calibrated_device_params(decay_schedule=build_decay_schedule(first, tail))
+        cohort = run_cohort(CALIBRATION_TARGETS, range(seeds), params, network,
+                            device_share=CALIBRATED_DEVICE_SHARE)
+        # a cv where no seed recalls has no median; it scores inf
+        medians = {
+            cv: math.inf if row["median_epochs"] is None else row["median_epochs"]
+            for cv, row in zip(CALIBRATION_TARGETS, sweep_rows(cohort))
+        }
+        residual = sum(abs(medians[cv] - t) for cv, t in CALIBRATION_TARGETS.items())
+        if best is None or residual < best.residual:
+            best = CalibrationResult(params=params, medians=medians, residual=residual,
+                                     seeds=seeds)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -486,7 +486,8 @@ def run_cohort(
     hashed from their pools up front; while any of a seed's cvs still
     trains, its epoch children are hashed from its training pool in blocks
     of ``_EPOCH_BLOCK`` epochs, for the seeds still training only, so memory
-    does not grow with ``max_epochs``. Repeated seeds are simulated once.
+    does not grow with ``max_epochs``. Seeds are simulated in the order
+    given, and a repeated seed is simulated again, so it repeats its column.
     Bad patterns raise the same errors as ``run_learning``, before any
     stream is hashed or any array is built.
 
@@ -510,17 +511,16 @@ def run_cohort(
     seeds = tuple(int(s) for s in seeds)
     plan = _run_plan(geometry, pattern, missing_pixel, config.recall_on_count)
 
-    unique = sorted(set(seeds))
     shape = (geometry.rows, geometry.cols)
-    z_dev, z_cyc = np.empty((2, len(unique), *shape))
-    for u, words in enumerate(_pcg64_words(_pools(unique, BUILD))):
+    z_dev, z_cyc = np.empty((2, len(seeds), *shape))
+    for u, words in enumerate(_pcg64_words(_pools(seeds, BUILD))):
         z_dev[u], z_cyc[u] = build_draws(word_generator(words), shape)
-    pools = _pools(unique, TRAINING)
-    # run r is cv r // len(unique) on seed unique[r % len(unique)]
-    resistance = np.empty((len(variations) * len(unique), *shape))
+    pools = _pools(seeds, TRAINING)
+    # run r is cv r // len(seeds) on seed seeds[r % len(seeds)]
+    resistance = np.empty((len(variations) * len(seeds), *shape))
     threshold = np.empty(len(resistance))
     for i, v in enumerate(variations):
-        rows = slice(i * len(unique), (i + 1) * len(unique))
+        rows = slice(i * len(seeds), (i + 1) * len(seeds))
         resistance[rows] = as_built_resistance(
             params, v.sigma_device, v.sigma_cycle, z_dev, z_cyc
         )
@@ -539,16 +539,16 @@ def run_cohort(
     read_energy = np.zeros(len(stored))
     run = np.arange(len(stored))  # the live runs' global indices
     energy = np.zeros(len(stored))  # the live runs' read energy so far
-    live = np.arange(len(unique))  # the live seeds, as indices into unique
+    live = np.arange(len(seeds))  # the live seeds, as indices into seeds
     seed_row = np.tile(live, len(variations))  # each live run's row among the live seeds
-    draws = np.empty((len(unique), plan.flat.size))
+    draws = np.empty((len(seeds), plan.flat.size))
     for epoch in range(1, config.max_epochs + 1):
         if not run.size:
             break
         offset = (epoch - 1) % _EPOCH_BLOCK
         if offset == 0:  # epoch k draws from child k - 1 of each live seed's training root
             keys = range(epoch - 1, epoch - 1 + _EPOCH_BLOCK)
-            words = _stream_children([unique[u] for u in live], TRAINING, pools[live], keys)
+            words = _stream_children([seeds[u] for u in live], TRAINING, pools[live], keys)
         z = draws[: live.size]
         for w, row in zip(words[:, offset], z):
             word_generator(w).standard_normal(out=row)
@@ -573,15 +573,14 @@ def run_cohort(
     read_energy[run] = energy
 
     total_energy = (plan.flat.size * epochs) * params.e_prog + read_energy
-    columns = np.searchsorted(unique, seeds)
-    grid = (len(variations), len(unique))
+    grid = (len(variations), len(seeds))
     return CohortOutcome(
         cvs=tuple(v.cv for v in variations),
         seeds=seeds,
-        epochs=epochs.reshape(grid)[:, columns],
-        converged=converged.reshape(grid)[:, columns],
-        read_energy=read_energy.reshape(grid)[:, columns],
-        total_energy=total_energy.reshape(grid)[:, columns],
+        epochs=epochs.reshape(grid),
+        converged=converged.reshape(grid),
+        read_energy=read_energy.reshape(grid),
+        total_energy=total_energy.reshape(grid),
     )
 
 

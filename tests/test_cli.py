@@ -260,6 +260,21 @@ def test_recall_on_count_that_misfits_the_cues_fails_before_any_output(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [("characterize", "--cycles", "1"), ("learn",),
+                                     ("sweep", "--seeds", "2"), ("calibrate", "--seeds", "1")],
+                         ids=lambda c: c[0])
+def test_an_output_directory_under_a_file_exits_4_and_writes_nothing(tmp_path, capsys, command):
+    (tmp_path / "file").write_text("mine\n")
+    out = tmp_path / "file" / "D"
+    rc, stdout, err = run(capsys, *command, "--out", str(out))
+    assert rc == cli.EXIT_IO == 4
+    assert err.startswith(f"pcmxbar: cannot create output directory {out}: ")
+    assert err.count("\n") == 1
+    assert stdout == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == "mine\n"
+
+
 BAD_COUNTS_AND_SPREADS = [
     (("sweep", "--seeds", "0"), {}, "--seeds"),
     (("sweep", "--seeds", "-3"), {}, "--seeds"),

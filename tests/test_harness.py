@@ -20,7 +20,6 @@ from pcmxbar.calibrated import (
     calibrated_device_params,
     calibrated_variation,
     seed_sequence,
-    training_stream,
     word_generator,
 )
 from pcmxbar.crossbar import ArrayGeometry, build_array
@@ -49,7 +48,8 @@ from pcmxbar.hopfield import (
     run_learning,
     run_two_pattern_protocol,
 )
-from pcmxbar.metrics import read_voltage_sensitivity
+from pcmxbar.metrics import read_voltage_sensitivity, sweep_rows
+from test_epoch_kernel import seed_sequence_root
 
 ALPHA = (1.0e4 / 3.0e6) ** (1.0 / 9.0)
 
@@ -135,11 +135,6 @@ def test_calibrated_medians_near_targets():
     assert ordered == sorted(ordered, reverse=True)
 
 
-def test_training_stream_keying():
-    direct = np.random.default_rng(np.random.SeedSequence((9, 1))).standard_normal(3)
-    assert np.array_equal(training_stream(9).standard_normal(3), direct)
-
-
 @pytest.mark.parametrize("stream", [0, 1])
 def test_pools_and_stream_children_match_seed_sequence(stream):
     # one entropy word below 2**32; the wider seeds and keys take the SeedSequence fallback
@@ -165,20 +160,18 @@ def test_word_generator_replays_the_spawned_child():
     children = calibrated._stream_children(seeds, calibrated.TRAINING, pools, (0, 4))
     roots = calibrated._pcg64_words(pools)
     for i, seed in enumerate(seeds):
-        spawned = training_stream(seed).spawn(5)
+        spawned = seed_sequence_root(seed).spawn(5)
         for j, k in enumerate([0, 4]):
             assert np.array_equal(
                 word_generator(children[i, j]).standard_normal(25),
                 spawned[k].standard_normal(25),
             )
-        assert np.array_equal(
-            word_generator(roots[i]).standard_normal(25), training_stream(seed).standard_normal(25)
-        )
+        assert np.array_equal(word_generator(roots[i]).standard_normal(25),
+                              seed_sequence_root(seed).standard_normal(25))
     strided = np.zeros((4, 2), dtype=np.uint64)
     strided[:, 0] = roots[0]
-    assert np.array_equal(
-        word_generator(strided[:, 0]).standard_normal(25), training_stream(9).standard_normal(25)
-    )
+    assert np.array_equal(word_generator(strided[:, 0]).standard_normal(25),
+                          seed_sequence_root(9).standard_normal(25))
 
 
 def assert_children_match(children, seed, keys):
@@ -201,6 +194,7 @@ def assert_children_match(children, seed, keys):
 @example(seed=2**32 - 1, first=2**32 - 20)
 @example(seed=2**32, first=31)
 @example(seed=2**64, first=2**32 - 1)
+@example(seed=2**95 + 3, first=9)
 @example(seed=2**96, first=5)
 @example(seed=2**128, first=16)
 def test_training_children_match_seed_sequence_spawning(seed, first):
@@ -230,6 +224,27 @@ def test_training_children_past_one_key_word_take_seed_sequence(monkeypatch):
     assert_children_match(children, 5, (2**32 - 1, 2**32))
     assert blocks == [range(2**32 - 16, 2**32)]
     assert calibrated._training_block.cache_info().misses == 2
+
+
+def test_seeds_below_two_to_the_96_hash_their_blocks(monkeypatch):
+    # a root of at most four entropy words gives its children by _children alone;
+    # a wider root takes SeedSequence for every child, and its block hashes nothing
+    blocks = counting_blocks(monkeypatch)
+    child_sequences = []
+    real = calibrated.seed_sequence
+
+    def counting(seed, stream, spawn_key=()):
+        if spawn_key:
+            child_sequences.append(spawn_key)
+        return real(seed, stream, spawn_key)
+
+    monkeypatch.setattr(calibrated, "seed_sequence", counting)
+    for seed, n_blocks, n_children in ((2**64, 1, 0), (2**96, 0, 16)):
+        blocks.clear()
+        child_sequences.clear()
+        words = calibrated._training_block(seed, 0)
+        assert (len(blocks), len(child_sequences)) == (n_blocks, n_children)
+        assert_children_match(map(word_generator, words), seed, range(16))
 
 
 def test_training_children_served_from_blocks_match_seed_sequence(monkeypatch):
@@ -307,7 +322,6 @@ def test_root_words_hold_for_seeds_of_every_width(seed):
             PATTERN_ONE, 6, NetworkConfig(), stream_offset=-1,
         ),
         lambda: build_stream(-1),
-        lambda: training_stream(-1),
         lambda: characterization_stream(-1),
         lambda: build_array(ArrayGeometry(), calibrated_device_params(), calibrated_variation(0.6), -1),
         lambda: read_voltage_sensitivity(
@@ -317,8 +331,7 @@ def test_root_words_hold_for_seeds_of_every_width(seed):
     ],
     ids=[
         "seed_sequence", "seed_sequence_key", "pools", "stream_children_key",
-        "run_learning_stream_offset", "build_stream",
-        "training_stream", "characterization_stream", "build_array",
+        "run_learning_stream_offset", "build_stream", "characterization_stream", "build_array",
         "read_voltage_sensitivity", "run_cohort",
     ],
 )
@@ -468,36 +481,30 @@ def test_characterize_returns_tables_without_out_dir():
 # calibration search
 
 
-def test_calibrate_epochs_prefers_shipped_schedule():
-    result = calibrate_epochs(
-        seeds=15,
-        first_fraction_grid=(0.163, 0.30),
-        tail_fraction_grid=(0.0114,),
-        sigma_grid=(0.03,),
-    )
-    assert result.decay_schedule == CALIBRATED_DECAY_SCHEDULE
-    assert result.sigma_c2c == 0.03
-    assert result.candidates_evaluated == 2
-    assert result.residual <= 8.0
-    assert set(result.medians) == set(CALIBRATION_TARGETS)
-    again = calibrate_epochs(
-        seeds=15,
-        first_fraction_grid=(0.163, 0.30),
-        tail_fraction_grid=(0.0114,),
-        sigma_grid=(0.03,),
-    )
-    assert again.residual == result.residual
-    assert again.decay_schedule == result.decay_schedule
-
-
 def test_calibration_records_the_targets_it_scored():
-    result = calibrate_epochs(
-        {0.60: 5}, seeds=2, first_fraction_grid=(0.163,), tail_fraction_grid=(0.0114,)
+    # the default search over 25 seeds keeps the first of its minimal candidates
+    result = calibrate_epochs()
+    assert result.params == calibrated_device_params(
+        decay_schedule=build_decay_schedule(0.155, 0.0114)
     )
+    assert result.residual == 2.0
+    assert result.medians == {0.60: 12.0, 0.40: 8.0, 0.24: 5.0, 0.09: 1.0}
     d = result.to_dict()
-    assert d["targets"] == {"0.60": 5}
-    assert d["medians"] == {"0.60": 9.0}
-    assert d["residual"] == 4.0
+    assert d["targets"] == {"0.60": 11, "0.40": 9, "0.24": 5, "0.09": 1}
+    assert d["medians"] == {"0.60": 12.0, "0.40": 8.0, "0.24": 5.0, "0.09": 1.0}
+    assert d["decay_schedule"] == list(build_decay_schedule(0.155, 0.0114))
+    assert (d["sigma_c2c"], d["device_share"]) == (CALIBRATED_SIGMA_C2C, CALIBRATED_DEVICE_SHARE)
+    assert (d["residual"], d["candidates_evaluated"], d["seeds"]) == (2.0, 9, 25)
+    assert calibrate_epochs() == result
+
+
+def test_shipped_schedule_ties_the_calibration_search():
+    # the shipped first step 0.163 also reaches residual 2.0 at the search's 25 seeds
+    cohort = run_cohort(CALIBRATION_TARGETS, range(25), calibrated_device_params(),
+                        NetworkConfig(), device_share=CALIBRATED_DEVICE_SHARE)
+    medians = [row["median_epochs"] for row in sweep_rows(cohort)]
+    assert medians == [11.0, 7.0, 5.0, 1.0]
+    assert sum(abs(m - t) for m, t in zip(medians, CALIBRATION_TARGETS.values())) == 2.0
 
 
 def test_params_fingerprint_tells_equal_but_distinct_values_apart():

@@ -548,6 +548,30 @@ def test_empty_cohorts(cvs, seeds):
         assert values.dtype == dtype
 
 
+COHORT_FIELDS = ("epochs", "converged", "read_energy", "total_energy")
+
+
+def test_a_repeated_seed_repeats_its_column():
+    params, cfg, cvs = calibrated_device_params(), NetworkConfig(), (0.60, 0.24, 0.09)
+    cohort = run_cohort(cvs, (4, 0, 4), params, cfg)
+    alone = {seed: run_cohort(cvs, (seed,), params, cfg) for seed in (4, 0)}
+    for name in COHORT_FIELDS:
+        for j, seed in enumerate((4, 0, 4)):
+            column = getattr(alone[seed], name)[:, 0]
+            assert getattr(cohort, name)[:, j].tolist() == column.tolist()
+
+
+def test_permuting_the_seeds_permutes_the_columns():
+    params, cfg, cvs = calibrated_device_params(), NetworkConfig(), (0.60, 0.09)
+    seeds = (3, 8, 1, 5)
+    base = run_cohort(cvs, seeds, params, cfg)
+    for order in itertools.permutations(range(len(seeds))):
+        cohort = run_cohort(cvs, [seeds[j] for j in order], params, cfg)
+        assert cohort.seeds == tuple(seeds[j] for j in order)
+        for name in COHORT_FIELDS:
+            assert getattr(cohort, name).tolist() == getattr(base, name)[:, order].tolist()
+
+
 def test_threshold_stack_shape_and_type():
     cfg = NetworkConfig()
     R = np.random.default_rng(3).lognormal(math.log(3.0e6), 0.5, size=(2, 3, 10, 10))

@@ -49,20 +49,18 @@ CELLS = st.one_of(
     st.none(),
     st.text(st.characters(blacklist_categories=("Cs",))),
 )
-FLOAT_FMTS = st.sampled_from(("%.10g", "%.6g"))
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     rows=st.lists(st.lists(CELLS, max_size=6), max_size=6),
-    float_fmt=FLOAT_FMTS,
     provenance=st.none() | st.dictionaries(st.sampled_from(("seed", "cv")), st.integers()),
 )
-def test_write_csv_matches_per_cell_formatting(tmp_path_factory, rows, float_fmt, provenance):
+def test_write_csv_matches_per_cell_formatting(tmp_path_factory, rows, provenance):
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     header = ("a", "b")
-    write_csv(path, header, rows, provenance=provenance, float_fmt=float_fmt)
-    assert path.read_bytes() == reference_csv(header, rows, provenance, float_fmt)
+    write_csv(path, header, rows, provenance=provenance)
+    assert path.read_bytes() == reference_csv(header, rows, provenance)
 
 
 @settings(max_examples=100, deadline=None)
@@ -111,13 +109,12 @@ def uniform_tables(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(rows=uniform_tables(), float_fmt=FLOAT_FMTS, as_lists=st.booleans())
-def test_uniform_tables_match_per_cell_formatting(tmp_path_factory, rows, float_fmt, as_lists):
+@given(rows=uniform_tables(), as_lists=st.booleans())
+def test_uniform_tables_match_per_cell_formatting(tmp_path_factory, rows, as_lists):
     path = tmp_path_factory.mktemp("uniform") / "t.csv"
     header = ("a", "b")
-    write_csv(path, header, [list(r) for r in rows] if as_lists else rows,
-              provenance={"seed": 1}, float_fmt=float_fmt)
-    assert path.read_bytes() == reference_csv(header, rows, {"seed": 1}, float_fmt)
+    write_csv(path, header, [list(r) for r in rows] if as_lists else rows, provenance={"seed": 1})
+    assert path.read_bytes() == reference_csv(header, rows, {"seed": 1})
 
 
 def test_rows_of_one_type_tuple_but_unequal_lengths_are_formatted_per_row(tmp_path):

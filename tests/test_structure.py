@@ -1,10 +1,13 @@
 """Module layout guards: one home for the seed streams, epoch streams read by
 index, one home for the provenance header and for deleting outputs, a light
-config import, and every function the benchmark traces still defined."""
+config import, every function the benchmark traces still defined, and no
+public name that only tests use."""
 
+import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -68,3 +71,46 @@ def test_benchmark_call_targets_are_defined():
         module, fn = target.split(".")
         package_module = importlib.import_module(f"pcmxbar.{'_io' if module == 'io' else module}")
         assert callable(getattr(package_module, fn, None)), target
+
+
+def _exported(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _referenced(tree: ast.AST, skip: str | None = None) -> set[str]:
+    """Names ``tree`` loads, reads as attributes or imports, outside a definition of ``skip``."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_public_names_have_a_caller_outside_tests():
+    # an exported name that only its own tests reach is surface to delete
+    trees = {path.stem: ast.parse(path.read_text()) for path in (SRC / "pcmxbar").glob("*.py")}
+    docs = [ROOT / "README.md", *(ROOT / "demos").rglob("*"), *(ROOT / "bench").rglob("*")]
+    outside = "\n".join(path.read_text() for path in docs if path.suffix in (".py", ".md"))
+    unused = []
+    for module, tree in sorted(trees.items()):
+        others = set().union(*(_referenced(t) for m, t in trees.items() if m != module))
+        for name in _exported(tree):
+            if name in others or name in _referenced(tree, skip=name):
+                continue
+            if not re.search(rf"\b{re.escape(name)}\b", outside):
+                unused.append(f"{module}.{name}")
+    assert unused == []
