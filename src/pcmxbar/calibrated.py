@@ -171,21 +171,32 @@ def _pcg64_words(pool: np.ndarray) -> np.ndarray:
 def _pools(seeds: list[int], stream: int) -> np.ndarray:
     """Mixed pool of each seed's ``stream`` root, ``(len(seeds), 4)``, as ``SeedSequence.pool``.
 
-    A seed below 2**32 is one entropy word, hashed here for all seeds at
-    once; a wider seed's pool is its ``SeedSequence``'s own.
+    NumPy's entropy for ``(seed, stream)`` is the seed's little-endian 32-bit
+    words, then the stream word, zero-padded to the pool. A seed below
+    ``_WIDE_SEED`` has at most three words, so its row mixes here with all
+    the others at once; a wider seed's pool is its ``SeedSequence``'s own.
     """
     if any(s < 0 for s in seeds):
         raise ParameterError("seeds must be >= 0")
     entropy = np.zeros((len(seeds), _POOL), dtype=np.uint32)
     entropy[:, 0], entropy[:, 1] = [s & _MASK32 for s in seeds], stream
+    wide, rows, words = [], [], []
+    for i, s in enumerate(seeds) if max(seeds, default=0) > _MASK32 else ():
+        if s >= _WIDE_SEED:
+            wide.append(i)
+        elif s > _MASK32:
+            rows.append(i)
+            words.append([s & _MASK32, s >> 32 & _MASK32, s >> 64 & _MASK32, 0])
+            words[-1][(s.bit_length() + 31) // 32] = stream
+    if rows:
+        entropy[rows] = words
     pool = _hashmix(entropy, _ENTROPY_HASH[:, :_POOL])
     for src in range(_POOL):
         dst = [d for d in range(_POOL) if d != src]
         const = _ENTROPY_HASH[:, _POOL + 3 * src : _POOL + 3 * src + 3]
         pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], const))
-    for i, s in enumerate(seeds):
-        if s > _MASK32:
-            pool[i] = seed_sequence(s, stream).pool
+    for i in wide:
+        pool[i] = seed_sequence(seeds[i], stream).pool
     return pool
 
 

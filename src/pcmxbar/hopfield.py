@@ -320,19 +320,16 @@ def _pulse(stored, read, z, steps, plan: _RunPlan, params: DeviceParams) -> None
     read[..., plan.hidden] = 1.0 / stored.take(plan.refresh, axis=-1)
 
 
-def _epoch(stored, pulses, read, plan, pattern, threshold, config, params, rng, epoch_index):
-    """One scalar epoch on gathered state: pulse, read every sensed bitline, compare."""
-    _pulse(stored, read, rng.standard_normal(len(stored)), decay_log_steps(params, pulses),
-           plan, params)
-    pulses += 1
-    currents = dict(zip(plan.sensed, (config.v_read * read.sum(axis=0)).tolist()))
+def _result(epoch_index, currents, read_sum, plan, pattern, threshold, config, params):
+    """The ``EpochResult`` of an epoch with these sensed currents and read-block conductance sum."""
+    currents = dict(zip(plan.sensed, currents))
     fired = frozenset(b for b, i in currents.items() if i > threshold)
-    program_energy = len(stored) * params.e_prog
+    program_energy = plan.flat.size * params.e_prog
     # every sensed column dissipates v^2/R in the cue cells for the read window
-    read_energy = config.v_read**2 * config.read_duration * float(read.sum())
+    read_energy = config.v_read**2 * config.read_duration * read_sum
     return EpochResult(
         epoch_index=epoch_index,
-        program_event_count=len(stored),
+        program_event_count=plan.flat.size,
         recall_currents=currents,
         fired=fired,
         recalled=plan.missing <= fired,
@@ -341,6 +338,49 @@ def _epoch(stored, pulses, read, plan, pattern, threshold, config, params, rng, 
         read_energy=read_energy,
         epoch_energy=program_energy + read_energy,
     )
+
+
+def _epoch(stored, pulses, read, plan, pattern, threshold, config, params, rng, epoch_index):
+    """One scalar epoch on gathered state: pulse, read every sensed bitline, compare."""
+    _pulse(stored, read, rng.standard_normal(len(stored)), decay_log_steps(params, pulses),
+           plan, params)
+    pulses += 1
+    return _result(epoch_index, (config.v_read * read.sum(axis=0)).tolist(), float(read.sum()),
+                   plan, pattern, threshold, config, params)
+
+
+def _budget(stored, pulses, read, plan, params, children, m):
+    """``m`` epochs of ``_pulse`` in one pass: the stored cells and read block after each.
+
+    Returns ``(m, stored)`` rows and ``(m, cue, sensed)`` blocks, with every
+    value ``_pulse`` gives epoch by epoch. Each epoch's factors
+    ``exp(sigma_c2c * z - step)`` are taken at once, and the rows are their
+    running product from ``stored``, in ``stored *= z``'s order. The floor
+    is applied as each epoch's ``np.maximum`` applies it: the first row with
+    a cell below it is clamped, the rows after it are recomputed from the
+    clamped row and their kept factors, and so on until no row has one.
+    """
+    z = np.empty((m, len(stored)))
+    for row, rng in zip(z, children):  # rows first, so no block past the last is hashed
+        rng.standard_normal(out=row)
+    z *= params.sigma_c2c
+    z -= decay_log_steps(params, pulses + np.arange(m)[:, None])
+    np.exp(z, out=z)
+    rows = np.empty((m + 1, len(stored)))  # row k: the stored cells after epoch k
+    rows[0] = stored
+    k = 0
+    while True:
+        rows[k + 1:] = z[k:]
+        np.multiply.accumulate(rows[k:], axis=0, out=rows[k:])
+        low = (rows[k + 1:] < params.r_set_floor).any(axis=1)
+        if not low.any():
+            break
+        k += 1 + int(low.argmax())
+        np.maximum(rows[k], params.r_set_floor, out=rows[k])
+    reads = np.empty((m, *read.shape))  # C-contiguous, so each block reduces as ``read`` does
+    reads[:] = read
+    reads[..., plan.hidden] = 1.0 / rows[1:].take(plan.refresh, axis=-1)
+    return rows[1:], reads
 
 
 def train_epoch(
@@ -399,6 +439,14 @@ def run_learning(
     block's (cue, missing) cells, with ``train_epoch``'s arithmetic.
     The stored cells are written back to ``array.resistance`` before each
     recorded map and at the end, and the pulse counts at the end.
+
+    A run at ``math.inf`` trains its whole budget in one pass: it draws
+    every epoch's normals first, then takes all the stored cells' rows and
+    read blocks at once (``_budget``), with the same values the epoch loop
+    gives. A run at a finite threshold stays epoch by epoch, since each
+    epoch waits on the recall test of the one before, and drawing epochs
+    past a possible recall costs more than the pass saves on runs that
+    stop within a few epochs.
     """
     plan = _run_plan(array.geometry, pattern, missing_pixel, config.recall_on_count)
     children = _training_children(array.seed, stream_offset)
@@ -409,18 +457,27 @@ def run_learning(
     params = array.params
     epochs: list[EpochResult] = []
     epochs_to_recall = None
-    # the budget is checked first, so no block past the last epoch is hashed
-    for epoch, rng in zip(range(1, config.max_epochs + 1), children):
-        result = _epoch(stored, pulses, read, plan, pattern, threshold, config, params, rng,
-                        epoch)
+    m = config.max_epochs
+    if threshold == math.inf:  # no epoch can recall, so none waits on the one before
+        rows, reads = _budget(stored, pulses, read, plan, params, children, m)
+        currents = (config.v_read * reads.sum(axis=1)).tolist()
+        read_sums = reads.reshape(m, -1).sum(axis=1).tolist()
+        pulses += m
+        trained = ((_result(k + 1, currents[k], read_sums[k], plan, pattern, threshold, config,
+                            params), rows[k]) for k in range(m))
+    else:
+        # the budget is checked first, so no block past the last epoch is hashed
+        trained = ((_epoch(stored, pulses, read, plan, pattern, threshold, config, params, rng,
+                           epoch), stored) for epoch, rng in zip(range(1, m + 1), children))
+    for result, cells in trained:
         epochs.append(result)
         if record_maps:
-            array.resistance.put(plan.flat, stored)
+            array.resistance.put(plan.flat, cells)
             maps.append(resistance_map(array))
         if result.recalled:
-            epochs_to_recall = epoch
+            epochs_to_recall = result.epoch_index
             break
-    array.resistance.put(plan.flat, stored)
+    array.resistance.put(plan.flat, cells)
     array.pulses_applied.put(plan.flat, pulses)
     count = sum(ep.program_event_count for ep in epochs)
     # explicit left-to-right float sum: from Python 3.12 on, sum() compensates

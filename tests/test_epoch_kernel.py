@@ -15,6 +15,7 @@ each reference epoch drawing from a child spawned by NumPy's own
 ``SeedSequence`` training root.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcmxbar import crossbar, device, hopfield
+from pcmxbar import calibrated, crossbar, device, hopfield
 from pcmxbar.calibrated import (
     BUILD,
     TRAINING,
@@ -418,6 +419,165 @@ def test_epoch_loop_builds_no_indices(monkeypatch):
         assert again == warm
         assert len(again["epochs"]) == max_epochs
     assert lookups[0] == lookups[1] == (0, 0)
+
+
+# -- threshold infinity: the whole budget in one pass ------------------------
+
+
+def offset_root(seed, offset):
+    """``seed``'s training root after it has spawned ``offset`` children."""
+    rng = seed_sequence_root(seed)
+    rng.spawn(offset)
+    return rng
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    schedule=st.sampled_from(sorted(SCHEDULES)),
+    cv=st.sampled_from((0.0, 0.09, 0.24, 0.60)),
+    seed=st.integers(0, 2**32 - 1),
+    max_pulses=st.integers(0, 30),
+    layout=st.sampled_from(["C", "F", "strided"]),
+    on=st.sets(st.integers(1, 10), min_size=2, max_size=10),
+    pick=st.integers(0, 9),
+    max_epochs=st.integers(1, 40),
+    offset=st.integers(0, 40),
+    record_maps=st.booleans(),
+)
+# a cue of 9 senses the missing pixel alone; 40 epochs from child 40 span three blocks
+@example(schedule="calibrated", cv=0.60, seed=3, max_pulses=0, layout="C",
+         on=frozenset(range(1, 11)), pick=4, max_epochs=40, offset=40, record_maps=True)
+@example(schedule="calibrated", cv=0.09, seed=8, max_pulses=5, layout="strided",
+         on=frozenset({2, 9}), pick=1, max_epochs=17, offset=15, record_maps=False)
+def test_infinite_threshold_runs_match_the_reference_on_every_cue(
+    schedule, cv, seed, max_pulses, layout, on, pick, max_epochs, offset, record_maps
+):
+    # the cue is the pattern less its missing pixel, so it holds 1 to 9 pixels
+    # and the sensed set runs from 9 bitlines down to the missing one alone
+    params = SCHEDULES[schedule]
+    pattern = Pattern.from_on(on, 10)
+    missing = sorted(on)[pick % len(on)]
+    config = NetworkConfig(max_epochs=max_epochs, recall_on_count=len(on) - 1)
+    new, old = _programmed(params, cv, seed, max_pulses, layout)
+    got = run_learning(new, pattern, missing, config, stream_offset=offset,
+                       threshold=math.inf, record_maps=record_maps)
+    want = reference_run(old, pattern, missing, config, offset_root(seed, offset),
+                         threshold=math.inf, record_maps=record_maps)
+    assert got.to_dict() == want.to_dict()
+    assert len(got.normalized_maps) == len(want.normalized_maps)
+    for a, b in zip(got.normalized_maps, want.normalized_maps):
+        assert np.array_equal(a, b)
+    for a, b in zip(_state(new), _state(old)):
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    schedule=st.sampled_from(sorted(SCHEDULES)),
+    seed=st.integers(0, 2**32 - 1),
+    max_pulses=st.integers(0, 30),
+    layout=st.sampled_from(["C", "F", "strided"]),
+    order=st.permutations(range(1, 11)),
+    size=st.integers(2, 10),
+    cue_size=st.integers(1, 9),
+    max_epochs=st.integers(1, 40),
+    offset=st.integers(0, 40),
+)
+def test_one_pass_refreshes_every_hidden_column_layout(
+    schedule, seed, max_pulses, layout, order, size, cue_size, max_epochs, offset
+):
+    # cues that leave several pattern pixels sensed, in consecutive columns (a
+    # slice) or not (an index array): each row of the pass is train_epoch's epoch
+    params = SCHEDULES[schedule]
+    pattern = Pattern.from_on(order[:size], 10)
+    partial = Pattern.from_on(order[: min(cue_size, size - 1)], 10)
+    config = NetworkConfig(max_epochs=max_epochs, recall_on_count=len(partial.on))
+    new, old = _programmed(params, 0.60, seed, max_pulses, layout)
+    plan = hopfield._plan(new.geometry, pattern, partial)
+    stored, pulses, read = hopfield._gather(new, plan)
+    rows, reads = hopfield._budget(stored, pulses, read, plan, params,
+                                   calibrated._training_children(seed, offset), max_epochs)
+    currents = (config.v_read * reads.sum(axis=1)).tolist()
+    read_sums = reads.reshape(max_epochs, -1).sum(axis=1).tolist()
+    children = itertools.islice(calibrated._training_children(seed, offset), max_epochs)
+    for k, rng in enumerate(children):
+        want = train_epoch(old, pattern, partial, math.inf, config, rng, k + 1)
+        got = hopfield._result(k + 1, currents[k], read_sums[k], plan, pattern, math.inf,
+                               config, params)
+        assert got.to_dict() == want.to_dict()
+        assert np.array_equal(rows[k], old.resistance.take(plan.flat))
+        assert np.array_equal(reads[k], 1.0 / old.resistance[plan.read_block])
+
+
+def test_stacked_read_sums_reduce_as_one_block_does():
+    # the pass sums a stack of (cue, sensed) blocks down the cue axis and over
+    # each flat block; both give each block's own sums, also at cues of 8 or
+    # more, where a one-column block sums pairwise
+    rng = np.random.default_rng(0)
+    for cue in range(1, 11):
+        for sensed in range(1, 10):
+            reads = 1.0 / rng.lognormal(13.0, 1.5, (8, cue, sensed))
+            columns, totals = reads.sum(axis=1), reads.reshape(8, -1).sum(axis=1)
+            for k, block in enumerate(reads):
+                assert columns[k].tolist() == block.sum(axis=0).tolist()
+                assert totals[k] == block.sum()
+
+
+def test_infinite_threshold_runs_apply_the_floor_as_each_epoch_does():
+    # two half-swing steps take stored cells to the floor by their second pulse,
+    # and the noise lifts some off it again over the small tail step
+    params = DeviceParams(decay_schedule=(0.5, 0.5, 0.01), sigma_c2c=0.1)
+    config = NetworkConfig(max_epochs=40)
+    partial = Pattern.from_on(PATTERN_ONE.on - {MISSING_PIXEL_ONE}, 10)
+    lifted = 0
+    for seed in range(20):
+        new, old = (build_array(ArrayGeometry(), params, calibrated_variation(0.60), seed)
+                    for _ in "ab")
+        got = run_learning(new, PATTERN_ONE, MISSING_PIXEL_ONE, config, threshold=math.inf)
+        rng = seed_sequence_root(seed)
+        was_floor = np.zeros(old.resistance.shape, dtype=bool)
+        for k, ep in enumerate(got.epochs, start=1):
+            want = reference_epoch(old, PATTERN_ONE, partial, math.inf, config,
+                                   rng.spawn(1)[0], k)
+            assert ep.to_dict() == want.to_dict()
+            assert np.array_equal(got.normalized_maps[k], resistance_map(old))
+            floor = old.resistance == params.r_set_floor
+            lifted += np.count_nonzero(was_floor & ~floor)
+            was_floor |= floor
+        assert np.array_equal(new.resistance, old.resistance)
+    assert lifted > 0
+
+
+def test_infinite_threshold_runs_take_one_exp_pass(monkeypatch):
+    # a warm run at threshold infinity takes every epoch's factors in one np.exp
+    # call, across block edges and from an offset; a finite run takes one an epoch
+    calls = []
+    real_exp = np.exp
+
+    def counting_exp(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_exp(*args, **kwargs)
+
+    params = calibrated_device_params()
+
+    def exp_calls(max_epochs, offset, threshold):
+        counts = []
+        for _ in "warm", "counted":
+            arr = build_array(ArrayGeometry(), params, calibrated_variation(0.60), 4)
+            calls.clear()
+            monkeypatch.setattr(np, "exp", counting_exp)
+            trace = run_learning(arr, PATTERN_ONE, MISSING_PIXEL_ONE,
+                                 NetworkConfig(max_epochs=max_epochs), stream_offset=offset,
+                                 threshold=threshold)
+            monkeypatch.setattr(np, "exp", real_exp)
+            assert len(trace.epochs) == max_epochs
+            counts.append(len(calls))
+        return counts[-1]
+
+    for max_epochs, offset in ((10, 0), (16, 0), (17, 0), (40, 0), (30, 5)):
+        assert exp_calls(max_epochs, offset, math.inf) == 1
+    for max_epochs in (10, 17):
+        assert exp_calls(max_epochs, 0, 1e3) == max_epochs
 
 
 def test_refreshed_columns_are_a_slice_when_consecutive():

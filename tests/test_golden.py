@@ -1,13 +1,15 @@
 """Golden outputs: the sha256 of every file default ``sweep`` and ``calibrate`` write,
 and one digest over all the files of ``learn``, ``characterize`` and
-``reproduce_figures`` at seed 0, and of ``learn --cv 0.60`` at two seeds
-wider than one 32-bit word.
+``reproduce_figures`` at seed 0, of ``learn --cv 0.60`` at two seeds wider
+than one 32-bit word, and of three small ``sweep`` windows.
 
 The ``sweep`` and ``calibrate`` digests were taken before the cohort
 engine hashed its streams from mixed pools, the seed-0 directory digests
-before the provenance header got its one builder, and the wide-seed ones
-before runs read their epoch streams by index; any change to what these
-commands simulate or how they format it shows up here as a changed digest.
+before one function built every provenance header, the wide-seed ones
+before runs read their epoch streams by index, and the ``sweep`` windows
+before threshold-infinity runs trained their budget in one pass; any
+change to what these commands simulate or how they format it shows up
+here as a changed digest.
 """
 
 import hashlib
@@ -42,10 +44,22 @@ GOLDEN_DIRS = {
     ("characterize",):
         (3, "260076b5095e2db2ee2e07e58c6b67a0495da9dfd1f65ff3cb0ee3c5512c2287"),
 }
-# seeds of two and of four entropy words, whose streams go through SeedSequence itself
+# seeds of two and of four entropy words: the first hashes with the one-word seeds,
+# the second's streams go through SeedSequence itself
 GOLDEN_WIDE_SEEDS = {
     4294967301: (33, "6720448b6b945eff425b57e55deb9b678c9f077d4bf8b4ee043165b76dc96dd9"),
     2**96 + 1: (19, "d4261f95b92a93ae9dbebe13d8e7623c43d0b0e12dae04404cedf8c1ad6a918a"),
+}
+# sweep windows whose fig6 replays end at and past the 16- and 32-child block
+# edges, and one whose seeds cross 2**64, recorded before threshold-infinity
+# runs trained their whole budget in one pass
+GOLDEN_SWEEPS = {
+    ("--seed", "5", "--trajectory-epochs", "17"):
+        (5, "b84c8ad78b695038caad8bf77fcdc23c97cbcc613b001a0708d0b10ad47d0d07"),
+    ("--seed", "5", "--trajectory-epochs", "40"):
+        (5, "ab11af21c67a99ff734884df683096dd8f5213f103babed4cfe630a183c3d2f2"),
+    ("--seed", str(2**64 - 6)):
+        (5, "dc02c5acd1affcf9cfa98f4b7907931a8cd5c91a3532d9cda6a18a5db54860fe"),
 }
 GOLDEN_REPRODUCE = (39, "5dd73a8448d5a9c8542ee78b993f0ec3b894f5b4c6062a1864cc7e210678c3d6")
 
@@ -80,6 +94,14 @@ def test_wide_seed_learn_outputs_match_golden_directory_digests(tmp_path, monkey
     argv = ["learn", "--cv", "0.60", "--seed", str(seed), "--quiet", "--out", str(tmp_path)]
     assert main(argv) == 0
     assert _directory_digest(tmp_path) == GOLDEN_WIDE_SEEDS[seed]
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_SWEEPS), ids=["epochs-17", "epochs-40", "2**64-6"])
+def test_sweep_windows_match_golden_directory_digests(tmp_path, monkeypatch, argv):
+    for name in [k for k in os.environ if k.startswith("PCMXBAR_")]:
+        monkeypatch.delenv(name)
+    assert main(["sweep", *argv, "--seeds", "12", "--quiet", "--out", str(tmp_path)]) == 0
+    assert _directory_digest(tmp_path) == GOLDEN_SWEEPS[argv]
 
 
 def test_reproduce_figures_matches_golden_directory_digest(tmp_path):

@@ -154,6 +154,34 @@ def test_pools_and_stream_children_match_seed_sequence(stream):
                 assert np.array_equal(children[i, j], child.generate_state(4, np.uint64))
 
 
+@pytest.mark.parametrize("stream", [0, 1, 2])
+def test_pools_of_every_width_equal_seed_sequence_pools(stream):
+    # below 2**96 a seed's one to three words mix with the rest; 2**96 and up take SeedSequence's
+    seeds = [0, 5, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**95 + 3, 2**96 - 1, 2**96, 2**128 + 5]
+    pools = calibrated._pools(seeds, stream)
+    for i, seed in enumerate(seeds):
+        assert pools[i].tolist() == np.random.SeedSequence((seed, stream)).pool.tolist()
+
+
+def test_pools_below_two_to_the_96_build_no_seed_sequence(monkeypatch):
+    # a root of at most three seed words mixes with the narrow rows; only a wider
+    # one takes its pool from a SeedSequence
+    built = []
+    real = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    below = [3, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**95 + 3, 2**96 - 1]
+    for stream in (calibrated.BUILD, calibrated.TRAINING):
+        calibrated._pools(below, stream)
+    assert built == []
+    calibrated._pools([7, 2**96, 2**64], calibrated.TRAINING)
+    assert built == [((2**96, calibrated.TRAINING),)]
+
+
 def test_word_generator_replays_the_spawned_child():
     seeds = [9, 2**32]
     pools = calibrated._pools(seeds, calibrated.TRAINING)
