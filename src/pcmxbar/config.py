@@ -184,9 +184,7 @@ _ENV_SHORTHAND = {"SEED": "seed", "OUT": "out", "QUIET": "quiet", "CONFIG": None
 
 
 def apply_env(cfg: RunConfig, environ) -> RunConfig:
-    for name in sorted(environ):
-        if not name.startswith(ENV_PREFIX):
-            continue
+    for name in sorted(name for name in environ if name.startswith(ENV_PREFIX)):
         rest = name[len(ENV_PREFIX):]
         if rest in _ENV_SHORTHAND:
             key = _ENV_SHORTHAND[rest]

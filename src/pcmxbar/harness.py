@@ -337,8 +337,8 @@ def sweep_figures(
             p,
             ("epoch", "current_amps", "threshold_c15_amps", "threshold_c2_amps"),
             [
-                (ep.epoch_index, ep.recall_currents[MISSING_PIXEL_ONE], thr_15, thr_2)
-                for ep in trace.epochs
+                (epoch, current, thr_15, thr_2)
+                for epoch, current in enumerate(trace.bitline_currents(MISSING_PIXEL_ONE), start=1)
             ],
             provenance={**base_prov, "cv": tag, "representative_seed": rep},
         )

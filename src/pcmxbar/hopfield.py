@@ -184,21 +184,46 @@ class EpochResult:
 
 @dataclass
 class LearningTrace:
-    """Full record of one learning run on one array."""
+    """Full record of one learning run on one array, its epochs held as columns.
+
+    Row k of ``currents`` holds epoch k + 1's recall current on each sensed
+    bitline, in ascending bitline order, and ``read_sums[k]`` that epoch's
+    read-block conductance sum. ``epochs`` builds each epoch's
+    ``EpochResult`` from its row on first read, and ``to_dict`` goes through
+    it; a caller that needs one bitline's trajectory reads
+    ``bitline_currents`` and builds none.
+    """
 
     pattern: Pattern
     missing_pixel: int
     threshold: float
     variation_cv: float
     seed: int
-    epochs: list[EpochResult]
     converged: bool
     epochs_to_recall: int | None
+    currents: np.ndarray = field(repr=False)  # (epochs, sensed bitlines), amps
+    read_sums: list[float] = field(repr=False)
+    # what ``_result`` takes besides the columns: (run plan, network config, device params)
+    _context: tuple = field(repr=False, compare=False)
     normalized_maps: list[np.ndarray] = field(repr=False)
     program_event_count: int = 0
     program_energy: float = 0.0
     read_energy: float = 0.0
     total_energy: float = 0.0
+
+    @cached_property
+    def epochs(self) -> list[EpochResult]:
+        plan, config, params = self._context
+        return [
+            _result(k, currents, read_sum, plan, self.pattern, self.threshold, config, params)
+            for k, (currents, read_sum) in enumerate(
+                zip(self.currents.tolist(), self.read_sums), start=1
+            )
+        ]
+
+    def bitline_currents(self, bitline: int) -> list[float]:
+        """The recall current on the sensed ``bitline`` in each epoch, in amps."""
+        return self.currents[:, self._context[0].sensed.index(bitline)].tolist()
 
     def to_dict(self) -> dict:
         return {
@@ -340,26 +365,23 @@ def _result(epoch_index, currents, read_sum, plan, pattern, threshold, config, p
     )
 
 
-def _epoch(stored, pulses, read, plan, pattern, threshold, config, params, rng, epoch_index):
-    """One scalar epoch on gathered state: pulse, read every sensed bitline, compare."""
-    _pulse(stored, read, rng.standard_normal(len(stored)), decay_log_steps(params, pulses),
-           plan, params)
-    pulses += 1
-    return _result(epoch_index, (config.v_read * read.sum(axis=0)).tolist(), float(read.sum()),
-                   plan, pattern, threshold, config, params)
-
-
 def _budget(stored, pulses, read, plan, params, children, m):
     """``m`` epochs of ``_pulse`` in one pass: the stored cells and read block after each.
 
     Returns ``(m, stored)`` rows and ``(m, cue, sensed)`` blocks, with every
-    value ``_pulse`` gives epoch by epoch. Each epoch's factors
+    value ``_pulse`` gives epoch by epoch, as new arrays. Each epoch's factors
     ``exp(sigma_c2c * z - step)`` are taken at once, and the rows are their
     running product from ``stored``, in ``stored *= z``'s order. The floor
     is applied as each epoch's ``np.maximum`` applies it: the first row with
     a cell below it is clamped, the rows after it are recomputed from the
     clamped row and their kept factors, and so on until no row has one.
+    One epoch is ``_pulse`` itself on copies, which costs half the pass.
     """
+    if m == 1:
+        stored, read = stored.copy(), read.copy()
+        _pulse(stored, read, next(children).standard_normal(len(stored)),
+               decay_log_steps(params, pulses), plan, params)
+        return stored[None], read[None]
     z = np.empty((m, len(stored)))
     for row, rng in zip(z, children):  # rows first, so no block past the last is hashed
         rng.standard_normal(out=row)
@@ -404,11 +426,13 @@ def train_epoch(
     _check_patterns(array.geometry, pattern, partial, config.recall_on_count)
     plan = _plan(array.geometry, pattern, partial)
     stored, pulses, read = _gather(array, plan)
-    result = _epoch(stored, pulses, read, plan, pattern, threshold, config, array.params, rng,
-                    epoch_index)
+    params = array.params
+    _pulse(stored, read, rng.standard_normal(len(stored)), decay_log_steps(params, pulses),
+           plan, params)
     array.resistance.put(plan.flat, stored)
-    array.pulses_applied.put(plan.flat, pulses)
-    return result
+    array.pulses_applied.put(plan.flat, pulses + 1)
+    return _result(epoch_index, (config.v_read * read.sum(axis=0)).tolist(), float(read.sum()),
+                   plan, pattern, threshold, config, params)
 
 
 def run_learning(
@@ -435,18 +459,21 @@ def run_learning(
     The run gathers its state once: the pattern's stored cells with their
     pulse counts, and the cue's read-block conductances. Its indices and
     cue are looked up once per (geometry, pattern, missing pixel, cue size).
-    Each epoch then updates the stored cells and refreshes only the read
-    block's (cue, missing) cells, with ``train_epoch``'s arithmetic.
+    It then trains in chunks of epochs, each in one pass (``_budget``) with
+    ``train_epoch``'s arithmetic: every epoch updates the stored cells and
+    refreshes only the read block's (cue, missing) cells. A chunk's recall
+    test is one compare of its missing-pixel column; the run keeps the
+    epochs up to the first recall and goes on from the last one kept. At
+    ``math.inf`` the whole budget is one chunk. At a finite threshold the
+    first epoch is a chunk of its own, since most runs at low variation
+    recall there; the next chunk runs to the end of the ``_EPOCH_BLOCK``
+    block of children that holds the next child, and later chunks are whole
+    blocks, each capped at the budget left. Epochs trained past the recall
+    are dropped; their children were hashed with the recall epoch's block,
+    and no block past it is hashed.
     The stored cells are written back to ``array.resistance`` before each
-    recorded map and at the end, and the pulse counts at the end.
-
-    A run at ``math.inf`` trains its whole budget in one pass: it draws
-    every epoch's normals first, then takes all the stored cells' rows and
-    read blocks at once (``_budget``), with the same values the epoch loop
-    gives. A run at a finite threshold stays epoch by epoch, since each
-    epoch waits on the recall test of the one before, and drawing epochs
-    past a possible recall costs more than the pass saves on runs that
-    stop within a few epochs.
+    recorded map and at the end, and the pulse counts at the end. The trace
+    keeps each epoch's currents and read-block sum as columns.
     """
     plan = _run_plan(array.geometry, pattern, missing_pixel, config.recall_on_count)
     children = _training_children(array.seed, stream_offset)
@@ -455,46 +482,55 @@ def run_learning(
     maps = [resistance_map(array)] if record_maps else []
     stored, pulses, read = _gather(array, plan)
     params = array.params
-    epochs: list[EpochResult] = []
-    epochs_to_recall = None
     m = config.max_epochs
-    if threshold == math.inf:  # no epoch can recall, so none waits on the one before
-        rows, reads = _budget(stored, pulses, read, plan, params, children, m)
-        currents = (config.v_read * reads.sum(axis=1)).tolist()
-        read_sums = reads.reshape(m, -1).sum(axis=1).tolist()
-        pulses += m
-        trained = ((_result(k + 1, currents[k], read_sums[k], plan, pattern, threshold, config,
-                            params), rows[k]) for k in range(m))
-    else:
-        # the budget is checked first, so no block past the last epoch is hashed
-        trained = ((_epoch(stored, pulses, read, plan, pattern, threshold, config, params, rng,
-                           epoch), stored) for epoch, rng in zip(range(1, m + 1), children))
-    for result, cells in trained:
-        epochs.append(result)
+    column = plan.sensed.index(missing_pixel)  # the run's one hidden column
+    currents, read_sums = [], []
+    done, epochs_to_recall = 0, None
+    while done < m and epochs_to_recall is None:
+        if threshold == math.inf:  # no epoch can recall, so none waits on the one before
+            n = m
+        elif not done:
+            n = 1
+        else:
+            n = min(_EPOCH_BLOCK - (stream_offset + done) % _EPOCH_BLOCK, m - done)
+        rows, reads = _budget(stored, pulses, read, plan, params, children, n)
+        chunk = config.v_read * reads.sum(axis=1)
+        recalled = chunk[:, column] > threshold
+        first = int(recalled.argmax())
+        if recalled[first]:
+            n = first + 1
+            epochs_to_recall = done + n
         if record_maps:
-            array.resistance.put(plan.flat, cells)
-            maps.append(resistance_map(array))
-        if result.recalled:
-            epochs_to_recall = result.epoch_index
-            break
-    array.resistance.put(plan.flat, cells)
+            for cells in rows[:n]:
+                array.resistance.put(plan.flat, cells)
+                maps.append(resistance_map(array))
+        currents.append(chunk[:n])
+        read_sums += reads[:n].reshape(n, -1).sum(axis=1).tolist()
+        stored, read = rows[n - 1], reads[n - 1]
+        pulses += n
+        done += n
+    array.resistance.put(plan.flat, stored)
     array.pulses_applied.put(plan.flat, pulses)
-    count = sum(ep.program_event_count for ep in epochs)
-    # explicit left-to-right float sum: from Python 3.12 on, sum() compensates
-    # float rounding and would move the last bits; run_cohort adds in this order
+    count = plan.flat.size * done
+    # each epoch's read energy as _result takes it, added left to right: from
+    # Python 3.12 on, sum() compensates float rounding and would move the last
+    # bits; run_cohort adds in this order
+    read_cost = config.v_read**2 * config.read_duration
     read_energy = 0.0
-    for ep in epochs:
-        read_energy += ep.read_energy
-    program_energy = count * array.params.e_prog  # exact count * e_prog identity
+    for read_sum in read_sums:
+        read_energy += read_cost * read_sum
+    program_energy = count * params.e_prog  # exact count * e_prog identity
     return LearningTrace(
         pattern=pattern,
         missing_pixel=missing_pixel,
         threshold=threshold,
         variation_cv=array.variation.cv,
         seed=array.seed,
-        epochs=epochs,
         converged=epochs_to_recall is not None,
         epochs_to_recall=epochs_to_recall,
+        currents=currents[0] if len(currents) == 1 else np.concatenate(currents),
+        read_sums=read_sums,
+        _context=(plan, config, params),
         normalized_maps=maps,
         program_event_count=count,
         program_energy=program_energy,
@@ -654,7 +690,7 @@ def run_two_pattern_protocol(
     threshold = compute_threshold(array.initial_resistance, config)
     first = run_learning(array, PATTERN_ONE, MISSING_PIXEL_ONE, config, threshold=threshold)
     second = run_learning(
-        array, PATTERN_TWO, MISSING_PIXEL_TWO, config, stream_offset=len(first.epochs),
+        array, PATTERN_TWO, MISSING_PIXEL_TWO, config, stream_offset=len(first.read_sums),
         threshold=threshold,
     )
     return first, second

@@ -134,7 +134,7 @@ def read_voltage_sensitivity(
             f"baseline run (cv={variation.cv}, seed={seed}) never recalled; "
             "sensitivity is undefined without a baseline"
         )
-    *earlier, recall = [ep.recall_currents[MISSING_PIXEL_ONE] for ep in trace.epochs]
+    *earlier, recall = trace.bitline_currents(MISSING_PIXEL_ONE)
     peak = max(earlier) if earlier else None
     threshold = trace.threshold
     min_delta = None

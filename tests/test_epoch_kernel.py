@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcmxbar import calibrated, crossbar, device, hopfield
+from pcmxbar import _io, calibrated, crossbar, device, hopfield
 from pcmxbar.calibrated import (
     BUILD,
     TRAINING,
@@ -105,11 +105,15 @@ def oracle_read_recall_currents(array, firing, v_read):
     return {b: float(i) for b, i in zip(sensed, totals)}
 
 
-def oracle_read_energy(array, cue, config):
+def oracle_read_sum(array, cue):
     rows = np.array(sorted(cue), dtype=np.intp) - 1
     cols = np.array([b - 1 for b in range(1, array.geometry.cols + 1) if b not in cue], dtype=np.intp)
     g = 1.0 / array.resistance[np.ix_(rows, cols)]
-    return config.v_read**2 * config.read_duration * float(g.sum())
+    return float(g.sum())
+
+
+def oracle_read_energy(array, cue, config):
+    return config.v_read**2 * config.read_duration * oracle_read_sum(array, cue)
 
 
 def reference_epoch(array, pattern, partial, threshold, config, rng, epoch_index=1):
@@ -137,15 +141,21 @@ def seed_sequence_root(seed):
 
 
 def reference_run(array, pattern, missing, config, rng, *, threshold=None, record_maps=True):
-    """``run_learning`` over ``reference_epoch``: one spawned child per epoch, stop at recall."""
+    """``run_learning`` over ``reference_epoch``: one spawned child per epoch, stop at recall.
+
+    The trace holds each epoch's currents and read-block sum as the array
+    primitives read them, and the epochs it builds from them must equal the
+    reference epochs.
+    """
     partial = Pattern.from_on(pattern.on - {missing}, pattern.n)
     if threshold is None:
         threshold = compute_threshold(array.initial_resistance, config)
     maps = [resistance_map(array)] if record_maps else []
-    epochs = []
+    epochs, read_sums = [], []
     for epoch in range(1, config.max_epochs + 1):
         epochs.append(reference_epoch(array, pattern, partial, threshold, config,
                                       rng.spawn(1)[0], epoch))
+        read_sums.append(oracle_read_sum(array, partial.on))
         if record_maps:
             maps.append(resistance_map(array))
         if epochs[-1].recalled:
@@ -156,13 +166,18 @@ def reference_run(array, pattern, missing, config, rng, *, threshold=None, recor
         read_energy += ep.read_energy
     program_energy = count * array.params.e_prog
     recalled = epochs[-1].recalled
-    return LearningTrace(
+    plan = hopfield._run_plan(array.geometry, pattern, missing, config.recall_on_count)
+    trace = LearningTrace(
         pattern=pattern, missing_pixel=missing, threshold=threshold,
-        variation_cv=array.variation.cv, seed=array.seed, epochs=epochs,
+        variation_cv=array.variation.cv, seed=array.seed,
         converged=recalled, epochs_to_recall=len(epochs) if recalled else None,
+        currents=np.array([list(ep.recall_currents.values()) for ep in epochs]),
+        read_sums=read_sums, _context=(plan, config, array.params),
         normalized_maps=maps, program_event_count=count, program_energy=program_energy,
         read_energy=read_energy, total_energy=program_energy + read_energy,
     )
+    assert trace.epochs == epochs
+    return trace
 
 
 # -- cases --------------------------------------------------------------------
@@ -550,7 +565,9 @@ def test_infinite_threshold_runs_apply_the_floor_as_each_epoch_does():
 
 def test_infinite_threshold_runs_take_one_exp_pass(monkeypatch):
     # a warm run at threshold infinity takes every epoch's factors in one np.exp
-    # call, across block edges and from an offset; a finite run takes one an epoch
+    # call, across block edges and from an offset; a finite run that never
+    # recalls takes one per chunk: its first epoch, the rest of that child's
+    # block, then whole blocks
     calls = []
     real_exp = np.exp
 
@@ -576,8 +593,177 @@ def test_infinite_threshold_runs_take_one_exp_pass(monkeypatch):
 
     for max_epochs, offset in ((10, 0), (16, 0), (17, 0), (40, 0), (30, 5)):
         assert exp_calls(max_epochs, offset, math.inf) == 1
-    for max_epochs in (10, 17):
-        assert exp_calls(max_epochs, 0, 1e3) == max_epochs
+    # 1 + 9 epochs; 1 + 15 + 1; and from child 14: 1 + 1 (child 15) + 16 + 2
+    for max_epochs, offset, chunks in ((10, 0, 2), (17, 0, 3), (20, 14, 4)):
+        assert exp_calls(max_epochs, offset, 1e3) == chunks
+
+
+# -- finite thresholds: block-aligned chunks -----------------------------------
+
+# two half-swing steps take stored cells to the floor by their second pulse
+FLOOR = DeviceParams(decay_schedule=(0.5, 0.5, 0.01), sigma_c2c=0.1)
+
+
+def recall_threshold(trajectory, recall_at):
+    """A threshold at which a run of this missing-pixel ``trajectory`` recalls at ``recall_at``.
+
+    The largest current before that epoch, so the run recalls there when its
+    current is larger and later otherwise; below the first current for epoch
+    one; past the budget, the largest current of all, which never recalls.
+    """
+    if recall_at == 1:
+        return trajectory[0] / 2
+    return max(trajectory[: recall_at - 1])
+
+
+def reference_trajectory(array, pattern, missing, config, seed, offset):
+    """The missing pixel's current in each epoch of a reference run at threshold infinity."""
+    trace = reference_run(array, pattern, missing, config, offset_root(seed, offset),
+                          threshold=math.inf, record_maps=False)
+    return [ep.recall_currents[missing] for ep in trace.epochs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    schedule=st.sampled_from(sorted(SCHEDULES) + ["floor"]),
+    cv=st.sampled_from((0.0, 0.09, 0.24, 0.60)),
+    seed=st.integers(0, 2**32 - 1),
+    max_pulses=st.integers(0, 30),
+    layout=st.sampled_from(["C", "F", "strided"]),
+    on=st.sets(st.integers(1, 10), min_size=2, max_size=10),
+    pick=st.integers(0, 9),
+    max_epochs=st.integers(1, 40),
+    offset=st.integers(0, 40),
+    recall_at=st.integers(1, 41),
+    record_maps=st.booleans(),
+)
+# from offset 5: recall at epoch 1, mid-block, on the block's last child (15),
+# on the next block's first (16) and in it, and never, across three blocks
+@example(schedule="calibrated", cv=0.09, seed=3, max_pulses=0, layout="C",
+         on=PATTERN_ONE.on, pick=4, max_epochs=40, offset=5, recall_at=1, record_maps=True)
+@example(schedule="calibrated", cv=0.60, seed=3, max_pulses=0, layout="C",
+         on=PATTERN_ONE.on, pick=4, max_epochs=40, offset=5, recall_at=7, record_maps=True)
+@example(schedule="calibrated", cv=0.60, seed=3, max_pulses=0, layout="F",
+         on=PATTERN_ONE.on, pick=4, max_epochs=40, offset=5, recall_at=11, record_maps=False)
+@example(schedule="calibrated", cv=0.60, seed=3, max_pulses=0, layout="strided",
+         on=PATTERN_ONE.on, pick=4, max_epochs=40, offset=5, recall_at=12, record_maps=True)
+@example(schedule="calibrated", cv=0.60, seed=3, max_pulses=0, layout="C",
+         on=PATTERN_ONE.on, pick=4, max_epochs=40, offset=5, recall_at=20, record_maps=True)
+@example(schedule="calibrated", cv=0.60, seed=3, max_pulses=0, layout="C",
+         on=PATTERN_ONE.on, pick=4, max_epochs=40, offset=5, recall_at=41, record_maps=True)
+# the floor schedule from child 14: recall at child 34, two blocks on
+@example(schedule="floor", cv=0.60, seed=2, max_pulses=0, layout="C",
+         on=PATTERN_ONE.on, pick=4, max_epochs=40, offset=14, recall_at=21, record_maps=True)
+def test_finite_threshold_runs_match_the_reference_in_chunks(
+    schedule, cv, seed, max_pulses, layout, on, pick, max_epochs, offset, recall_at, record_maps
+):
+    # the threshold is taken from a reference trajectory, so the run recalls
+    # at ``recall_at`` when the current rises there, or later, or never
+    params = FLOOR if schedule == "floor" else SCHEDULES[schedule]
+    pattern = Pattern.from_on(on, 10)
+    missing = sorted(on)[pick % len(on)]
+    config = NetworkConfig(max_epochs=max_epochs, recall_on_count=len(on) - 1)
+    new, old = _programmed(params, cv, seed, max_pulses, layout)
+    probe, _ = _programmed(params, cv, seed, max_pulses, layout)
+    trajectory = reference_trajectory(probe, pattern, missing, config, seed, offset)
+    threshold = recall_threshold(trajectory, min(recall_at, max_epochs + 1))
+    got = run_learning(new, pattern, missing, config, stream_offset=offset,
+                       threshold=threshold, record_maps=record_maps)
+    want = reference_run(old, pattern, missing, config, offset_root(seed, offset),
+                         threshold=threshold, record_maps=record_maps)
+    assert got.to_dict() == want.to_dict()
+    assert len(got.normalized_maps) == len(want.normalized_maps)
+    for a, b in zip(got.normalized_maps, want.normalized_maps):
+        assert np.array_equal(a, b)
+    for a, b in zip(_state(new), _state(old)):
+        assert np.array_equal(a, b)
+    if recall_at <= max_epochs and trajectory[recall_at - 1] > threshold:
+        assert got.epochs_to_recall == recall_at
+
+
+@pytest.mark.parametrize(
+    ("offset", "recall_at"),
+    # children 0, 7, 15 (a block's last), 16 (the next block's first), 24;
+    # 14 and 15 from child 14; 32 from 30; 56 from 40; never, from 0 and 14
+    [(0, 1), (0, 8), (5, 11), (5, 12), (5, 20), (14, 1), (14, 2), (30, 3), (40, 17),
+     (0, None), (14, None)],
+)
+def test_a_recall_hashes_no_block_past_its_own(monkeypatch, offset, recall_at):
+    params = calibrated_device_params()
+    config = NetworkConfig(max_epochs=30)
+    arrays = [build_array(ArrayGeometry(), params, calibrated_variation(0.60), 3) for _ in "ab"]
+    trajectory = reference_trajectory(arrays[0], PATTERN_ONE, MISSING_PIXEL_ONE, config, 3, offset)
+    threshold = recall_threshold(trajectory, recall_at or config.max_epochs + 1)
+    hashed = []
+    real = calibrated._training_block
+
+    def counting(seed, start):
+        hashed.append(start)
+        return real(seed, start)
+
+    monkeypatch.setattr(calibrated, "_training_block", counting)
+    trace = run_learning(arrays[1], PATTERN_ONE, MISSING_PIXEL_ONE, config,
+                         stream_offset=offset, threshold=threshold, record_maps=False)
+    assert trace.epochs_to_recall == recall_at
+    last = offset + len(trace.read_sums) - 1  # the last child the run trained on
+    block = calibrated._EPOCH_BLOCK
+    assert hashed == list(range(offset - offset % block, last - last % block + 1, block))
+
+
+def _assert_exact_json_types(obj):
+    kind = type(obj)
+    if kind is dict:
+        for key, value in obj.items():
+            assert type(key) is str
+            _assert_exact_json_types(value)
+    elif kind is list:
+        for value in obj:
+            _assert_exact_json_types(value)
+    else:
+        assert obj is None or kind in (int, float, bool, str), kind
+
+
+def test_traces_build_their_epochs_once_with_exact_json_types(monkeypatch):
+    # a run builds no EpochResult; the first read of ``epochs`` builds each
+    # epoch once, equal to the epoch the per-epoch loop returns, and to_dict
+    # hands the JSON writer exact Python types only
+    built = []
+    real = hopfield._result
+
+    def counting(epoch_index, *args):
+        built.append(epoch_index)
+        return real(epoch_index, *args)
+
+    monkeypatch.setattr(hopfield, "_result", counting)
+    params = calibrated_device_params()
+    for cv, threshold, max_epochs in ((0.60, None, 100), (0.09, None, 100), (0.60, 1e3, 20),
+                                      (0.24, math.inf, 30)):
+        new, old = (build_array(ArrayGeometry(), params, calibrated_variation(cv), 3)
+                    for _ in "ab")
+        config = NetworkConfig(max_epochs=max_epochs)
+        built.clear()
+        trace = run_learning(new, PATTERN_ONE, MISSING_PIXEL_ONE, config, threshold=threshold)
+        assert built == []
+        epochs = trace.epochs
+        doc = trace.to_dict()
+        assert trace.epochs is epochs
+        assert built == list(range(1, len(epochs) + 1))
+        assert len(epochs) == (trace.epochs_to_recall or max_epochs)
+        assert trace.bitline_currents(MISSING_PIXEL_ONE) == [
+            ep.recall_currents[MISSING_PIXEL_ONE] for ep in epochs
+        ]
+        partial = Pattern.from_on(PATTERN_ONE.on - {MISSING_PIXEL_ONE}, 10)
+        children = calibrated._training_children(3, 0)
+        assert epochs == [
+            train_epoch(old, PATTERN_ONE, partial, trace.threshold, config, rng, k)
+            for k, rng in zip(range(1, len(epochs) + 1), children)
+        ]
+        _assert_exact_json_types(doc)
+        if threshold != math.inf:  # infinity is no JSON number, so the writer leaves it to json
+            assert _io._json_text(doc)
+    arr = build_array(ArrayGeometry(), params, calibrated_variation(0.60), 3)
+    for trace in run_two_pattern_protocol(arr, NetworkConfig()):
+        _assert_exact_json_types(trace.to_dict())
 
 
 def test_refreshed_columns_are_a_slice_when_consecutive():

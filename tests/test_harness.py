@@ -137,7 +137,8 @@ def test_calibrated_medians_near_targets():
 
 @pytest.mark.parametrize("stream", [0, 1])
 def test_pools_and_stream_children_match_seed_sequence(stream):
-    # one entropy word below 2**32; the wider seeds and keys take the SeedSequence fallback
+    # seeds of one to three entropy words all mix their pools here; only a block with
+    # a key of 2**32 or more takes the SeedSequence fallback, for every seed in it
     seeds = [0, 1, 2**32 - 1, 2**32, 2**64]
     pools = calibrated._pools(seeds, stream)
     assert pools.shape == (len(seeds), 4)
